@@ -21,6 +21,7 @@ open Cmdliner
    replayable counterexample — stronger than a mere lint rejection);
    6 the reachability state budget was exhausted (raise --max-states
    or synthesize module-by-module). *)
+let exit_synthesis = 1
 let exit_usage = 2
 let exit_lint = 3
 let exit_verification = 4
@@ -30,7 +31,8 @@ let exit_budget = 6
 let exits =
   [
     Cmd.Exit.info 0 ~doc:"on success.";
-    Cmd.Exit.info 1 ~doc:"on synthesis failure (exhausted SAT budget or abort).";
+    Cmd.Exit.info exit_synthesis
+      ~doc:"on synthesis failure (exhausted SAT budget or abort).";
     Cmd.Exit.info exit_usage
       ~doc:"on command-line errors or unreadable/unknown STG inputs.";
     Cmd.Exit.info exit_lint
@@ -58,15 +60,19 @@ let exits =
 (* Every subcommand that explores a state space runs under this guard:
    exceeding the cap is a budget exhaustion, not a crash, and exits
    with the documented code and the budget in the message — the same
-   [Reach.Too_many_states] contract whichever engine explored. *)
+   [Reach.Too_many_states] contract whichever engine explored.  A
+   synthesis that gives up exits with the synthesis-failure code. *)
 let guard_budget f =
-  try f ()
-  with Reach.Too_many_states budget ->
+  try f () with
+  | Reach.Too_many_states budget ->
     Printf.eprintf
       "mpsyn: state budget exhausted: more than %d reachable markings (the \
        exploration cap; raise it with --max-states where available)\n"
       budget;
     exit exit_budget
+  | Mpart.Synthesis_failed msg ->
+    Printf.eprintf "mpsyn: synthesis failed: %s\n" msg;
+    exit exit_synthesis
 
 (* [load_stg_spans] keeps the source map when the STG comes from a .g
    file, so diagnostics can point into the text. *)
@@ -751,7 +757,7 @@ let verify_cmd =
     guard_budget @@ fun () ->
     let jobs = resolve_jobs jobs_opt in
     let cache = resolve_cache cache_opt in
-    let failures = ref 0 in
+    let failures = ref 0 and synthesis_failures = ref 0 in
     let verify_one name =
       let stg = load_stg name in
       let config =
@@ -766,7 +772,7 @@ let verify_cmd =
       in
       match Mpart.synthesize ~config stg with
       | exception Mpart.Synthesis_failed msg ->
-        incr failures;
+        incr synthesis_failures;
         Format.printf "%-16s FAIL (synthesis: %s)@." (Stg.name stg) msg
       | r ->
         let report =
@@ -835,7 +841,9 @@ let verify_cmd =
           end)
         results);
     report_cache cache;
-    if !failures = 0 then 0 else exit_verification
+    if !failures > 0 then exit_verification
+    else if !synthesis_failures > 0 then exit_synthesis
+    else 0
   in
   Cmd.v
     (Cmd.info "verify" ~exits

@@ -146,13 +146,24 @@ type result = {
 
 exception Synthesis_failed of string
 
+(* Expansion turns every extra into a visible signal, and codes are one
+   machine word: a wider labeling cannot be realised. *)
+let check_width sg =
+  if Sg.n_extras sg > 0 && Sg.full_width sg > 62 then
+    raise (Synthesis_failed "more than 62 visible signals")
+
 (* Count of semi-modularity violations after expansion — the quantity a
    candidate labeling must not increase.  Comparing against the graph's
    own baseline (rather than demanding zero) keeps module-level checks
    meaningful: a quotient can carry artifact violations the module is
-   not responsible for. *)
+   not responsible for.  Counted on the product, never built. *)
 let sm_violations sg0 =
-  List.length (Persistency.violations (Sg_expand.expand sg0))
+  check_width sg0;
+  Sg_expand.violation_count sg0
+
+let expand sg0 =
+  check_width sg0;
+  Sg_expand.expand sg0
 
 (* What a per-module CSC solution costs to recompute and what it is
    safe to replay: the accepted state-signal labelings plus the SAT
@@ -506,27 +517,31 @@ let synthesize_sg_uncached ~config ~csc_certified complete =
           }
   end;
   (* All conflicts are resolved; serialize the inserted transitions so
-     that expansion splits as few states as possible.  Minimization and
-     expansion both have known blind spots: a same-base-code pair can
-     end up valued (Up, Dn) — distinguished before expansion, colliding
-     after it (the strict-0/1 rule of the encoding exists precisely
-     because excited values do not survive expansion) — and an excited
-     region completed across the closing edges of a concurrency diamond
-     serializes the inserted transition before each of the diamond's
-     events, withdrawing the enabledness of one when the other fires: a
+     that expansion splits as few states as possible.  A labeling that
+     resolves every conflict can still fail once expanded: a
+     same-base-code pair valued (Up, Dn) is distinguished before
+     expansion and collides after it (the strict-0/1 rule of the
+     encoding exists because excited values do not survive expansion),
+     and an excited region completed across the closing edges of a
+     concurrency diamond makes each of the diamond's events wait for
+     the inserted transition, so firing one withdraws the other: a
      semi-modularity violation the conformance oracle observes as a
-     gate-level hazard.  So a labeling is accepted only when its
-     expansion both satisfies CSC and stays semi-modular; minimization
-     steps that would break either are dropped, and remaining
-     expansion-born conflicts are repaired with bounded direct passes. *)
+     gate-level hazard.  So a minimization step is kept only when the
+     whole labeling's expansion still satisfies CSC and stays
+     semi-modular.  [Sg_expand.implementable] decides that on the
+     unexpanded graph — the expansion is a product of the base graph
+     with one two-state component per extra — so each check costs the
+     base graph, not an expansion up to 2^extras times its size.
+     Remaining expansion-born conflicts are repaired with bounded
+     direct passes. *)
   Log.debug (fun m -> m "minimizing excitation regions");
   let implementable sg0 =
-    let e = Sg_expand.expand sg0 in
-    Csc.csc_satisfied e && Persistency.is_semi_modular e
+    check_width sg0;
+    Sg_expand.implementable sg0
   in
   let minimize_safely sg0 =
-    (* one extra at a time, keeping a minimization only when the expanded
-       graph still satisfies CSC and semi-modularity *)
+    (* one extra at a time, keeping a minimization only when the whole
+       labeling stays implementable *)
     let acc = ref sg0 in
     for index = 0 to Sg.n_extras sg0 - 1 do
       let candidate = Region_minimize.minimize_extra !acc ~index in
@@ -562,14 +577,15 @@ let synthesize_sg_uncached ~config ~csc_certified complete =
             acc := Sg.add_extra !acc ~name:(fresh_name ()) ~values:x.Sg.values)
           new_extras;
         let solved = !acc in
+        check_width solved;
         let solved' =
           let m = Region_minimize.minimize solved in
-          if Csc.csc_satisfied (Sg_expand.expand m) then m else solved
+          if Sg_expand.csc_satisfied m then m else solved
         in
-        repair (Sg_expand.expand solved') (round + 1)
+        repair (expand solved') (round + 1)
     end
   in
-  let expanded = repair (Sg_expand.expand final) 0 in
+  let expanded = repair (expand final) 0 in
   (* Safety net: if the composition of per-module insertions is still
      hazardous globally (modules validate against their quotient views,
      which can hide a diamond two signals share), redo the whole
@@ -617,7 +633,7 @@ let synthesize_sg_uncached ~config ~csc_certified complete =
               formulas = r.Modular_sat.formulas;
               sat_elapsed = r.Modular_sat.elapsed;
             };
-        Sg_expand.expand (minimize_safely !acc)
+        expand (minimize_safely !acc)
     end
   in
   (* Logic derivation: outputs over their module supports; inserted state

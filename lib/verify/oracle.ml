@@ -215,11 +215,10 @@ let synthesize_with ?backtrack_limit ?time_limit ?cache backend stg =
     let sg = Sg.of_stg stg in
     (* same implementability contract as the modular driver: a labeling
        is only a solution if its expansion stays semi-modular *)
-    let accept solved =
-      let e = Sg_expand.expand solved in
-      Csc.csc_satisfied e && Persistency.is_semi_modular e
+    let r =
+      Csc_direct.solve ?backtrack_limit ?time_limit
+        ~accept:Sg_expand.implementable sg
     in
-    let r = Csc_direct.solve ?backtrack_limit ?time_limit ~accept sg in
     match r.Csc_direct.outcome with
     | Csc_direct.Solved solved ->
       Ok (impl_of_expanded ~spec:sg (Sg_expand.expand solved))

@@ -410,6 +410,46 @@ let test_headline_claim () =
     Alcotest.fail
       "direct method solved mr0 inside a small budget: Table 1's shape is gone"
 
+(* The minimize_safely expansion cliff as a regression test: every
+   implementability check used to materialize a whole expansion
+   (147,456 states for pipeline 12), so pipeline 16 never finished.
+   Checked on the product of the base graph with the extras, 16 and 20
+   stages synthesize and keep the pinned results. *)
+let test_pipeline_scale () =
+  List.iter
+    (fun (stages, literals, states) ->
+      let r = Mpart.synthesize (Bench_gen.pipeline ~stages) in
+      let what = Printf.sprintf "pipeline %d" stages in
+      check_int (what ^ ": literals") literals (Mpart.area_literals r);
+      check_int (what ^ ": final states") states (Mpart.final_states r);
+      check (what ^ ": verifies") true (Mpart.verify r = None);
+      check (what ^ ": semi-modular") true
+        (Persistency.is_semi_modular r.Mpart.expanded))
+    [ (16, 98, 96); (20, 122, 120) ]
+
+(* Expansion makes each state signal a visible signal and codes are one
+   machine word, so pipeline 24 (48 signals plus 24 state signals) is a
+   synthesis failure, not a crash: exit 1 from synth and verify. *)
+let test_too_wide () =
+  let stg = Bench_gen.pipeline ~stages:24 in
+  (match Mpart.synthesize stg with
+  | _ -> Alcotest.fail "pipeline 24 synthesized past the signal limit"
+  | exception Mpart.Synthesis_failed msg ->
+    Alcotest.(check string) "message" "more than 62 visible signals" msg);
+  let file = Filename.temp_file "pipeline24" ".g" in
+  Gformat.write_file file stg;
+  let mpsyn = Filename.concat ".." (Filename.concat "bin" "mpsyn.exe") in
+  List.iter
+    (fun cmd ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s %s > /dev/null 2>&1" mpsyn cmd
+             (Filename.quote file))
+      in
+      check_int (cmd ^ " exits 1") 1 code)
+    [ "synth"; "verify" ];
+  Sys.remove file
+
 (* property: on the generated pipeline family, modular synthesis always
    converges, satisfies CSC after expansion, and the implementation
    matches every state *)
@@ -477,6 +517,8 @@ let () =
           Alcotest.test_case "state cap" `Quick test_state_cap;
           Alcotest.test_case "headline claim (Table 1 shape)" `Slow
             test_headline_claim;
+          Alcotest.test_case "too many signals" `Quick test_too_wide;
+          Alcotest.test_case "pipeline 16 and 20" `Slow test_pipeline_scale;
         ] );
       ( "properties",
         [

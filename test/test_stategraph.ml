@@ -355,6 +355,243 @@ let test_expand_serializes_half_edges () =
   check_int "rise is serialized" 1
     (List.length (Sg.succ ex (List.hd n_rise_srcs)))
 
+(* ---------------- Implementability without expansion ----------------
+
+   [Sg_expand]'s product analysis against the materialized oracle: expand,
+   then run [Csc] and [Persistency] on the result. *)
+
+let oracle sg =
+  let e = Sg_expand.expand sg in
+  ( Csc.csc_satisfied e,
+    Persistency.is_semi_modular e,
+    List.length (Persistency.violations e) )
+
+let product sg =
+  ( Sg_expand.csc_satisfied sg,
+    Sg_expand.is_semi_modular sg,
+    Sg_expand.violation_count sg )
+
+let check_agrees what sg =
+  let csc, sm, n = oracle sg and csc', sm', n' = product sg in
+  check (what ^ ": csc") csc csc';
+  check (what ^ ": semi-modular") sm sm';
+  check_int (what ^ ": violations") n n';
+  check (what ^ ": implementable") (csc && sm) (Sg_expand.implementable sg)
+
+(* a hand-built graph over visible signals a (bit 0) and b (bit 1), both
+   outputs; state codes are listed as (a, b) pairs *)
+let hand_sg codes edges =
+  let signals =
+    [|
+      { Sg.sname = "a"; non_input = true };
+      { Sg.sname = "b"; non_input = true };
+    |]
+  in
+  let ev = function
+    | "a+" -> Sg.Ev (0, Sg.R) | "a-" -> Sg.Ev (0, Sg.F)
+    | "b+" -> Sg.Ev (1, Sg.R) | _ -> Sg.Ev (1, Sg.F)
+  in
+  Sg.make ~name:"hand" ~signals
+    ~codes:(Array.of_list (List.map (fun (a, b) -> a + (2 * b)) codes))
+    ~edges:(List.map (fun (src, l, dst) -> { Sg.src; label = ev l; dst }) edges)
+    ~initial:0
+
+(* a+ || b+, then a- ; b-: states 2 and 4 share code (0, 1) *)
+let diamond () =
+  hand_sg
+    [ (0, 0); (1, 0); (0, 1); (1, 1); (0, 1) ]
+    [ (0, "a+", 1); (0, "b+", 2); (1, "b+", 3); (2, "a+", 3); (3, "a-", 4);
+      (4, "b-", 0) ]
+
+let test_product_no_extras () =
+  check_agrees "pulse" (pulse_sg ());
+  (* a+ and b+ withdraw each other: two violations without any extra *)
+  let sg =
+    hand_sg [ (0, 0); (1, 0); (0, 1) ] [ (0, "a+", 1); (0, "b+", 2) ]
+  in
+  check_agrees "choice" sg;
+  check_int "mutual withdrawal" 2 (Sg_expand.violation_count sg)
+
+let test_product_up_up_diamond () =
+  (* Up on every state: each edge is Up -> Up and survives in both halves *)
+  let sg = diamond () in
+  let sg = Sg.add_extra sg ~name:"n" ~values:(Array.make 5 Fourval.Up) in
+  check_agrees "up-up diamond" sg;
+  check "semi-modular" true (Sg_expand.is_semi_modular sg)
+
+let test_product_diamond_closing_edges () =
+  (* n rises across the diamond's closing edges: in half A both b+ at 1
+     and a+ at 2 wait for n+, so firing either event of state 0 withdraws
+     the other — the hazard region minimization must not introduce *)
+  let sg = diamond () in
+  let values = Fourval.[| V0; Up; Up; V1; Dn |] in
+  let sg = Sg.add_extra sg ~name:"n" ~values in
+  check_agrees "closing edges" sg;
+  check_int "two withdrawals" 2 (Sg_expand.violation_count sg);
+  check "not implementable" false (Sg_expand.implementable sg)
+
+let test_product_up_dn_pair () =
+  (* states 0 and 2 share code (0, 0) and both fire a+ only; n is Up at
+     0 and Dn at 2, which tells them apart before expansion.  Expanded,
+     0's half A (n = 0, n+ pending) and 2's half B (n- fired, n = 0)
+     share a code and differ only in exciting n+ *)
+  let sg =
+    hand_sg [ (0, 0); (1, 0); (0, 0); (1, 0) ] [ (0, "a+", 1); (2, "a+", 3) ]
+  in
+  let sg = Sg.add_extra sg ~name:"n" ~values:Fourval.[| Up; Up; Dn; Dn |] in
+  check "distinct full codes" true (Csc.csc_satisfied sg);
+  check_agrees "up/dn pair" sg;
+  check "collide once expanded" false (Sg_expand.csc_satisfied sg)
+
+let test_product_same_label_edges () =
+  (* states 0 and 3 each have two b+ edges.  In half A of n, 3 -> 4
+     waits for n+ but 3 -> 5 does not, so firing a+ at 0 keeps b+
+     enabled.  In the first graph firing b+ to 1 withdraws a+ (1 -> 4
+     waits for n+); in the second, 1 -> 6 does not wait and nothing is
+     withdrawn.  Both edge orders, so that neither same-label edge is
+     the only one looked at. *)
+  let codes = [ (0, 0); (0, 1); (0, 1); (1, 0); (1, 1); (1, 1); (1, 1) ] in
+  let common =
+    [ (0, "b+", 1); (0, "b+", 2); (0, "a+", 3); (3, "b+", 4); (3, "b+", 5);
+      (2, "a+", 5) ]
+  in
+  List.iter
+    (fun (what, edges, values, expected) ->
+      List.iter
+        (fun edges ->
+          let sg = Sg.add_extra (hand_sg codes edges) ~name:"n" ~values in
+          check_agrees what sg;
+          check_int (what ^ ": count") expected (Sg_expand.violation_count sg))
+        [ edges; List.rev edges ])
+    [
+      ("withdrawn", (1, "a+", 4) :: common,
+       Fourval.[| V0; Up; V0; Up; V1; Up; V0 |], 1);
+      ("kept", (1, "a+", 6) :: common,
+       Fourval.[| V0; V0; V0; Up; V1; Up; Up |], 0);
+    ]
+
+(* Random legal labelings: a copy of some signal's excitation (when that
+   copy is legal), then random flips that keep every edge legal. *)
+let excitation_copy sg s =
+  Array.init (Sg.n_states sg) (fun m ->
+      let excited dir = Sg.excited sg m ~signal:s ~dir in
+      match Sg.bit sg m s with
+      | false -> if excited Sg.R then Fourval.Up else Fourval.V0
+      | true -> if excited Sg.F then Fourval.Dn else Fourval.V1)
+
+let legal sg values =
+  Array.for_all
+    (fun e -> Fourval.edge_ok values.(e.Sg.src) values.(e.Sg.dst))
+    (Sg.edges sg)
+
+let flip rand sg values ~times =
+  for _ = 1 to times do
+    let m = Random.State.int rand (Sg.n_states sg) in
+    let v = Fourval.([| V0; V1; Up; Dn |]).(Random.State.int rand 4) in
+    let at s = if s = m then v else values.(s) in
+    if List.for_all (fun e -> Fourval.edge_ok (at e.Sg.src) v) (Sg.pred sg m)
+       && List.for_all (fun e -> Fourval.edge_ok v (at e.Sg.dst)) (Sg.succ sg m)
+    then values.(m) <- v
+  done
+
+let random_labeling rand sg =
+  let n = Sg.n_states sg in
+  let values =
+    let v = excitation_copy sg (Random.State.int rand (Sg.n_signals sg)) in
+    if legal sg v then v else Array.make n Fourval.V0
+  in
+  flip rand sg values ~times:(Random.State.int rand ((2 * n) + 1));
+  values
+
+(* The graphs: every data/ net, random STGs and the benchmark's [expand]
+   nets, each with the labeling synthesis settles on (computed on first
+   use) — random flips of that labeling are the near misses the
+   minimization loop actually asks about. *)
+type pooled = { sg : Sg.t Lazy.t; settled : Sg.t option Lazy.t }
+
+let labeling_pool =
+  lazy
+    (let data_dir = Filename.concat ".." "data" in
+     let data =
+       Sys.readdir data_dir |> Array.to_list
+       |> List.filter (fun f -> Filename.check_suffix f ".g")
+       |> List.sort compare
+       |> List.map (fun f -> Gformat.parse_file (Filename.concat data_dir f))
+     in
+     let rand = Qseed.state () in
+     let random = List.init 12 (fun _ -> Bench_gen.random ~rand) in
+     let expand_nets =
+       [
+         Bench_gen.pipeline ~stages:10; Bench_gen.pipeline ~stages:11;
+         Bench_gen.pipeline ~stages:12; Bench_gen.mixed ~stages:4 ~branches:2;
+         Bench_gen.concurrent_pulsers ~branches:4;
+       ]
+     in
+     Array.of_list
+       (List.map
+          (fun stg ->
+            {
+              sg = lazy (Sg.of_stg stg);
+              settled =
+                lazy
+                  (match Mpart.synthesize stg with
+                  | r when Sg.n_extras r.Mpart.final > 0 -> Some r.Mpart.final
+                  | _ | (exception Mpart.Synthesis_failed _) -> None);
+            })
+          (data @ random @ expand_nets)))
+
+(* states of [expand sg], without building it *)
+let expansion_size sg =
+  let n = ref 0 in
+  for m = 0 to Sg.n_states sg - 1 do
+    n :=
+      !n
+      + Array.fold_left
+          (fun acc (x : Sg.extra) ->
+            if Fourval.excited x.Sg.values.(m) then 2 * acc else acc)
+          1 (Sg.extras sg)
+  done;
+  !n
+
+let draw_labeling rand =
+  let pool = Lazy.force labeling_pool in
+  let p = pool.(Random.State.int rand (Array.length pool)) in
+  match Lazy.force p.settled with
+  | Some final when Random.State.bool rand ->
+    (* perturb a few of the settled extras *)
+    let n = Sg.n_states final in
+    let sg = ref final in
+    for _ = 1 to 1 + Random.State.int rand 3 do
+      let index = Random.State.int rand (Sg.n_extras final) in
+      let values = Array.copy (Sg.extras !sg).(index).Sg.values in
+      flip rand final values ~times:(Random.State.int rand ((n / 4) + 2));
+      sg := Sg.set_extra_values !sg ~index ~values
+    done;
+    !sg
+  | _ ->
+    let sg = Lazy.force p.sg in
+    (* keep the materialized oracle's expansion small *)
+    let max_extras = if Sg.n_states sg > 300 then 2 else 4 in
+    List.fold_left
+      (fun acc i ->
+        Sg.add_extra acc ~name:(Printf.sprintf "x%d" i)
+          ~values:(random_labeling rand sg))
+      sg
+      (List.init (1 + Random.State.int rand max_extras) Fun.id)
+
+let prop_product_matches_expansion =
+  QCheck.Test.make ~name:"product analysis matches the materialized expansion"
+    ~count:300 QCheck.(make ~print:string_of_int Gen.int) (fun draw ->
+      let sg = draw_labeling (Random.State.make [| draw |]) in
+      QCheck.assume (expansion_size sg <= 50_000);
+      let csc, sm, n = oracle sg and csc', sm', n' = product sg in
+      if csc <> csc' || sm <> sm' || n <> n' then
+        QCheck.Test.fail_reportf
+          "%s with %d extras: expansion csc=%b sm=%b violations=%d, product \
+           csc=%b sm=%b violations=%d"
+          (Sg.name sg) (Sg.n_extras sg) csc sm n csc' sm' n'
+      else true)
+
 (* ---------------- Region minimization ---------------- *)
 
 let test_region_minimize_preserves_csc () =
@@ -453,6 +690,17 @@ let () =
           Alcotest.test_case "constant extra" `Quick test_expand_constant_extra;
           Alcotest.test_case "serialized crossing" `Quick
             test_expand_serializes_half_edges;
+        ] );
+      ( "implementability",
+        [
+          Alcotest.test_case "no extras" `Quick test_product_no_extras;
+          Alcotest.test_case "up-up diamond" `Quick test_product_up_up_diamond;
+          Alcotest.test_case "diamond closing edges" `Quick
+            test_product_diamond_closing_edges;
+          Alcotest.test_case "up/dn pair" `Quick test_product_up_dn_pair;
+          Alcotest.test_case "same-label edges" `Quick
+            test_product_same_label_edges;
+          Qseed.to_alcotest prop_product_matches_expansion;
         ] );
       ( "region minimization",
         [
