@@ -15,7 +15,8 @@
 open Cmdliner
 
 (* Exit-code discipline (documented in every subcommand's man page):
-   0 success; 1 synthesis failure or abort; 2 usage / input errors;
+   0 success; 1 synthesis failure, abort or no consistent state
+   assignment; 2 usage / input errors;
    3 lint rejected the specification; 4 verification failure;
    5 static hazard analysis refuted speed independence (with a
    replayable counterexample — stronger than a mere lint rejection);
@@ -32,7 +33,9 @@ let exits =
   [
     Cmd.Exit.info 0 ~doc:"on success.";
     Cmd.Exit.info exit_synthesis
-      ~doc:"on synthesis failure (exhausted SAT budget or abort).";
+      ~doc:
+        "on synthesis failure (exhausted SAT budget or abort) or when the \
+         specification has no consistent state assignment.";
     Cmd.Exit.info exit_usage
       ~doc:"on command-line errors or unreadable/unknown STG inputs.";
     Cmd.Exit.info exit_lint
@@ -61,7 +64,8 @@ let exits =
    exceeding the cap is a budget exhaustion, not a crash, and exits
    with the documented code and the budget in the message — the same
    [Reach.Too_many_states] contract whichever engine explored.  A
-   synthesis that gives up exits with the synthesis-failure code. *)
+   synthesis that gives up, and a specification with no consistent state
+   assignment, exit with the synthesis-failure code. *)
 let guard_budget f =
   try f () with
   | Reach.Too_many_states budget ->
@@ -72,6 +76,9 @@ let guard_budget f =
     exit exit_budget
   | Mpart.Synthesis_failed msg ->
     Printf.eprintf "mpsyn: synthesis failed: %s\n" msg;
+    exit exit_synthesis
+  | Sg.Inconsistent msg ->
+    Printf.eprintf "mpsyn: no consistent state assignment: %s\n" msg;
     exit exit_synthesis
 
 (* [load_stg_spans] keeps the source map when the STG comes from a .g

@@ -21,7 +21,25 @@
     so the per-output passes collectively remove all CSC conflicts — the
     convergence the paper reports observing in practice.  Finally,
     inserted state signals whose removal would increase [o]'s conflicts
-    are kept in the module. *)
+    are kept in the module.
+
+    {b Incremental derivation.}  Each candidate (an extra to drop, a
+    signal to hide) is quotiented from the module graph accepted so far,
+    not from the complete graph, and the covers compose.  This gives the
+    same result as quotienting the complete graph by all accepted
+    removals at once, byte for byte ({!Sg.quotient}'s composition
+    contract):
+    - hiding H and then S merges the same states as hiding H ∪ S, and
+      both number classes by their smallest complete-graph member and
+      keep edges in first-occurrence order;
+    - Fig. 3 merges compose over accepted classes, and every edge of an
+      accepted graph already passes {!Fourval.edge_ok}, so a candidate
+      fails on the module exactly when it fails on the complete graph.
+    Homogeneity is read from one array over the accepted classes, the
+    implied values of [o] met in each (false, true or both), merged
+    along the candidate's cover.  So a candidate costs the size of the
+    current module, which shrinks with every accepted hide, and never
+    the size of the complete graph. *)
 
 type t = {
   output : int;  (** signal id in the complete graph *)
@@ -38,7 +56,8 @@ type t = {
 val triggers : Sg.t -> output:int -> int list
 
 (** [determine sg ~output] runs the greedy derivation on the complete
-    state graph [sg]. *)
+    state graph [sg], which has no ε edges (as every graph {!Sg.of_stg}
+    and {!Sg.quotient} return). *)
 val determine : Sg.t -> output:int -> t
 
 val pp : Sg.t -> Format.formatter -> t -> unit

@@ -699,6 +699,19 @@ let prefix_summary ?(jobs = 1) config stg =
     (fun () ->
       Prefix_rules.analyze ~jobs ~max_events:config.prefix_max_events stg)
 
+(* One synthesis consults the prefix for up to three decisions — the
+   certificate, the reachability engine and the constraint backend — so
+   it builds it lazily, at most once per call, and hands the same value
+   to each of them. *)
+let lazy_prefix config stg = lazy (prefix_summary ~jobs:config.jobs config stg)
+
+(* The exact state bound of the prefix sweep: the U4 marking count when
+   the sweep finished, otherwise the marking lower bound. *)
+let state_bound (p : Prefix_rules.summary) =
+  match p.Prefix_rules.s_sg_states with
+  | Some _ as b -> b
+  | None -> p.Prefix_rules.s_markings
+
 (* CSC prescreens, cheapest first.  A6 (lock relations) is purely
    structural; when it abstains, the exact U3 verdict from the complete
    prefix certifies conflict-freedom on nets A6's sufficient condition
@@ -706,17 +719,16 @@ let prefix_summary ?(jobs = 1) config stg =
    [Csc.csc_satisfied] checks downstream stay in place as a safety net,
    so an over-eager certificate degrades to a normal run rather than a
    wrong circuit. *)
-let certificate_source config stg =
+let certificate_of config stg prefix =
   if not config.prescreen then `None
   else if Lint.prescreen stg <> None then `Lockrel
   else if
-    config.prefix_prescreen
-    && (prefix_summary ~jobs:config.jobs config stg).Prefix_rules.s_csc
-       = Some true
+    config.prefix_prescreen && (Lazy.force prefix).Prefix_rules.s_csc = Some true
   then `Prefix
   else `None
 
-let certificate config stg = certificate_source config stg <> `None
+let certificate_source config stg =
+  certificate_of config stg (lazy_prefix config stg)
 
 (* U4-driven backend selection: the prefix sweep knows the exact state
    count before any explicit graph is built, so the constraint engine
@@ -738,24 +750,19 @@ let choose_reach config ~state_bound =
   | `Auto, Some n when n >= config.symbolic_threshold -> `Symbolic
   | r, _ -> r
 
-(* Resolve an [`Auto] reach engine from the exact prefix bound (U4
-   marking count when the sweep finished, otherwise the marking lower
-   bound).  Without the prefix prescreen there is no bound to consult
-   and [`Auto] stays on the explicit sweep. *)
-let auto_reach config stg =
+(* Resolve an [`Auto] reach engine from the prefix's state bound.
+   Without the prefix prescreen there is no bound to consult and
+   [`Auto] stays on the explicit sweep. *)
+let auto_reach config prefix =
   match config.reach with
   | `Explicit | `Symbolic -> config
   | `Auto ->
     if not config.prefix_prescreen then config
-    else begin
-      let p = prefix_summary ~jobs:config.jobs config stg in
-      let state_bound =
-        match p.Prefix_rules.s_sg_states with
-        | Some _ as b -> b
-        | None -> p.Prefix_rules.s_markings
-      in
-      { config with reach = choose_reach config ~state_bound }
-    end
+    else
+      {
+        config with
+        reach = choose_reach config ~state_bound:(state_bound (Lazy.force prefix));
+      }
 
 (* Reachability exploration + consistent state assignment, keyed by the
    canonical [.g] digest of the specification.  The stage name records
@@ -813,15 +820,17 @@ let synthesize ?(config = default_config) stg =
   memoize config ~stage:"synth" ~params:(fingerprint config)
     (Cache_key.stg_digest stg)
     (fun () ->
-      let csc_certified = certificate config stg in
-      let complete = complete_of_stg (auto_reach config stg) stg in
+      let prefix = lazy_prefix config stg in
+      let csc_certified = certificate_of config stg prefix <> `None in
+      let complete = complete_of_stg (auto_reach config prefix) stg in
       synthesize_sg ~config ~csc_certified complete)
 
 let synthesize_best ?(config = default_config) stg =
   memoize config ~stage:"synth-best" ~params:(fingerprint config)
     (Cache_key.stg_digest stg)
     (fun () ->
-      let source = certificate_source config stg in
+      let prefix = lazy_prefix config stg in
+      let source = certificate_of config stg prefix in
       let csc_certified = source <> `None in
       (match source with
       | `Prefix ->
@@ -831,12 +840,7 @@ let synthesize_best ?(config = default_config) stg =
       let config =
         if not config.prefix_prescreen then config
         else begin
-          let p = prefix_summary ~jobs:config.jobs config stg in
-          let state_bound =
-            match p.Prefix_rules.s_sg_states with
-            | Some _ as b -> b
-            | None -> p.Prefix_rules.s_markings
-          in
+          let state_bound = state_bound (Lazy.force prefix) in
           {
             config with
             backend = choose_backend config ~state_bound;

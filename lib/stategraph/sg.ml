@@ -211,14 +211,13 @@ module Uf = struct
     if ri <> rj then uf.(max ri rj) <- min ri rj
 end
 
+module Itbl = Hashtbl.Make (Int)
+
 let quotient sg ~keep_signal ~keep_extra =
   let n = n_states sg in
   let uf = Uf.create n in
-  let hidden_edge e =
-    match e.label with
-    | Eps -> true
-    | Ev (s, _) -> not (keep_signal s)
-  in
+  let kept = Array.init (n_signals sg) keep_signal in
+  let hidden_edge e = match e.label with Eps -> true | Ev (s, _) -> not kept.(s) in
   Array.iter (fun e -> if hidden_edge e then Uf.union uf e.src e.dst) sg.edges;
   (* Dense renumbering of classes, in order of first member. *)
   let class_id = Array.make n (-1) in
@@ -235,7 +234,7 @@ let quotient sg ~keep_signal ~keep_extra =
   (* Signal renumbering. *)
   let kept_signals = ref [] in
   for s = n_signals sg - 1 downto 0 do
-    if keep_signal s then kept_signals := s :: !kept_signals
+    if kept.(s) then kept_signals := s :: !kept_signals
   done;
   let kept_signals = Array.of_list !kept_signals in
   let new_of_old = Array.make (n_signals sg) (-1) in
@@ -295,23 +294,24 @@ let quotient sg ~keep_signal ~keep_extra =
              end)
            (Array.to_list sg.extras))
     in
-    (* Deduplicated projected edges. *)
-    let edge_set = Hashtbl.create (Array.length sg.edges) in
+    (* Deduplicated projected edges, in order of first occurrence, keyed
+       by (class, label, class) packed into one int: nc² · 124 labels
+       stays far below [max_int] for any graph that fits in memory. *)
+    let n_labels = 2 * Array.length kept_signals in
+    let edge_set = Itbl.create (Array.length sg.edges) in
     let new_edges = ref [] in
     Array.iter
       (fun e ->
-        if not (hidden_edge e) then begin
-          let lbl =
-            match e.label with
-            | Ev (s, d) -> Ev (new_of_old.(s), d)
-            | Eps -> assert false
-          in
-          let key = (cls e.src, lbl, cls e.dst) in
-          if not (Hashtbl.mem edge_set key) then begin
-            Hashtbl.add edge_set key ();
-            new_edges := { src = cls e.src; label = lbl; dst = cls e.dst } :: !new_edges
+        match e.label with
+        | Ev (s, d) when kept.(s) ->
+          let src = cls e.src and dst = cls e.dst and s' = new_of_old.(s) in
+          let lbl = (2 * s') + match d with R -> 0 | F -> 1 in
+          let key = (((src * n_labels) + lbl) * nc) + dst in
+          if not (Itbl.mem edge_set key) then begin
+            Itbl.add edge_set key ();
+            new_edges := { src; label = Ev (s', d); dst } :: !new_edges
           end
-        end)
+        | Ev _ | Eps -> ())
       sg.edges;
     let signals = Array.map (fun old -> sg.signals.(old)) kept_signals in
     let base =

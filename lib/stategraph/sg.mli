@@ -148,7 +148,21 @@ val implied_value : t -> int -> int -> bool
     Kept extras are merged with the Figure-3 rules.  Returns the merged
     graph and the cover map (old state → merged state), or [None] when
     some kept extra cannot be merged consistently (the paper's condition
-    for a signal that cannot be removed). *)
+    for a signal that cannot be removed).
+
+    Classes are numbered in order of their smallest member, and edges
+    keep the order of their first occurrence in [edges sg].
+
+    Quotients compose.  Let [quotient sg] with hidden set H and dropped
+    set D return [Some (g1, c1)].  Quotienting [g1] further by S and E
+    (named in [g1]'s numbering) is [None] exactly when quotienting [sg]
+    by H ∪ S and D ∪ E at once is.  Otherwise both give graphs with
+    equal {!digest}s, and the one-shot cover equals [c2.(c1.(m))].  This
+    holds because union-find classes, smallest-member numbering,
+    first-occurrence edge order and the Figure-3 merge all compose over
+    the classes of [g1], and every edge of a graph already passes
+    {!Fourval.edge_ok} for each of its extras.  {!Input_derivation}
+    relies on this contract. *)
 val quotient :
   t -> keep_signal:(int -> bool) -> keep_extra:(string -> bool) ->
   (t * int array) option

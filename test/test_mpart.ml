@@ -450,6 +450,31 @@ let test_too_wide () =
     [ "synth"; "verify" ];
   Sys.remove file
 
+(* [a+ -> b+ -> a+] with no [a-]: no consistent state assignment.  Every
+   subcommand that reads the spec exits with a documented code from the
+   README exit table, never cmdliner's 125: [synth] and [lint] reject it
+   in the lint pass (3), the others at the state assignment (1). *)
+let test_inconsistent_exits () =
+  let file = Filename.temp_file "inconsistent" ".g" in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc
+        ".model inconsistent\n.inputs a\n.outputs b\n.graph\na+ b+\nb+ a+\n\
+         .marking { <b+,a+> }\n.end\n");
+  let mpsyn = Filename.concat ".." (Filename.concat "bin" "mpsyn.exe") in
+  List.iter
+    (fun (cmd, expected) ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s %s > /dev/null 2>&1" mpsyn cmd
+             (Filename.quote file))
+      in
+      check_int (Printf.sprintf "%s exits %d" cmd expected) expected code)
+    [
+      ("synth", 3); ("lint", 3); ("verify", 1); ("verilog", 1); ("info", 1);
+      ("dot", 1); ("bench", 1);
+    ];
+  Sys.remove file
+
 (* property: on the generated pipeline family, modular synthesis always
    converges, satisfies CSC after expansion, and the implementation
    matches every state *)
@@ -519,6 +544,8 @@ let () =
             test_headline_claim;
           Alcotest.test_case "too many signals" `Quick test_too_wide;
           Alcotest.test_case "pipeline 16 and 20" `Slow test_pipeline_scale;
+          Alcotest.test_case "inconsistent spec exits" `Quick
+            test_inconsistent_exits;
         ] );
       ( "properties",
         [

@@ -4,8 +4,10 @@
    - differential: a naive, from-scratch re-implementation of the
      Fig. 2 greedy derivation (list-based sets, its own trigger scan,
      its own conflict counting over independently recomputed full
-     codes) must agree with Input_derivation on every shipped
-     benchmark and on fuzzed STGs;
+     codes, every candidate quotiented from the complete graph) must
+     agree with Input_derivation, module digest and cover included, on
+     every shipped benchmark, on fuzzed STGs, on both with random state
+     signals, and on parallel rings;
    - mutants: each M rule fires on a programmatically tampered cone,
      with the diagnostic span resolving to the output's declaration
      and the witness naming the offending chain;
@@ -161,7 +163,12 @@ let ndetermine g ~output =
   let msg, cover = !current in
   (List.sort Int.compare !input_set, immediate, List.rev !kept_extras, msg, cover)
 
+(* Compares every output's derivation with the oracle's, down to the
+   module graph's content digest and the full cover; returns how many
+   modules kept a state signal while hiding some signal, the case where
+   the Fig. 3 merge runs under composed hides. *)
 let compare_derivations ctx g =
+  let merged_with_extras = ref 0 in
   for output = 0 to Sg.n_signals g - 1 do
     if Sg.non_input g output then begin
       let where =
@@ -178,39 +185,76 @@ let compare_derivations ctx g =
       Alcotest.(check (list string))
         (where ^ ": kept extras agree")
         n_kept inp.Input_derivation.kept_extras;
-      Alcotest.(check int)
-        (where ^ ": module states agree")
-        (Sg.n_states n_msg)
-        (Sg.n_states inp.Input_derivation.module_sg);
-      Alcotest.(check int)
-        (where ^ ": module edges agree")
-        (Sg.n_edges n_msg)
-        (Sg.n_edges inp.Input_derivation.module_sg);
+      Alcotest.(check string)
+        (where ^ ": module graphs agree")
+        (Sg.digest n_msg)
+        (Sg.digest inp.Input_derivation.module_sg);
       Alcotest.(check (array int))
         (where ^ ": covers agree")
-        n_cover inp.Input_derivation.cover
+        n_cover inp.Input_derivation.cover;
+      if n_kept <> [] && List.length n_inputs < Sg.n_signals g - 1 then
+        incr merged_with_extras
     end
-  done
+  done;
+  !merged_with_extras
 
 let test_differential_benchmarks () =
   List.iter
     (fun f ->
       let stg = Gformat.parse_file (Filename.concat data_dir f) in
-      compare_derivations f (Sg.of_stg stg))
+      ignore (compare_derivations f (Sg.of_stg stg)))
     (g_files ())
 
+let fuzzed_graphs rand =
+  List.filter_map
+    (fun i ->
+      let stg = Bench_gen.random ~rand in
+      match Sg.of_stg stg with
+      | exception _ -> None (* inconsistent/oversized random STG: skip *)
+      | g -> Some (Printf.sprintf "fuzz%d" i, g))
+    (List.init 25 succ)
+
 let test_differential_fuzz () =
+  let graphs = fuzzed_graphs (Qseed.state ()) in
+  List.iter (fun (ctx, g) -> ignore (compare_derivations ctx g)) graphs;
+  check (List.length graphs > 10) "most fuzzed STGs were comparable"
+
+(* Graphs carrying state signals: every data/ net and the fuzzed STGs,
+   each with one to three random legal labelings under the pinned seed,
+   so the extras phase runs and kept extras are merged under hides. *)
+let test_differential_extras () =
   let rand = Qseed.state () in
-  let tried = ref 0 in
-  for i = 1 to 25 do
-    let stg = Bench_gen.random ~rand in
-    match Sg.of_stg stg with
-    | exception _ -> () (* inconsistent/oversized random STG: skip *)
-    | g ->
-      incr tried;
-      compare_derivations (Printf.sprintf "fuzz%d" i) g
-  done;
-  check (!tried > 10) "most fuzzed STGs were comparable"
+  let data =
+    List.map
+      (fun f ->
+        (f, Sg.of_stg (Gformat.parse_file (Filename.concat data_dir f))))
+      (g_files ())
+  in
+  let merged = ref 0 in
+  List.iter
+    (fun (ctx, g) ->
+      let g =
+        List.fold_left
+          (fun acc i ->
+            Sg.add_extra acc ~name:(Printf.sprintf "x%d" i)
+              ~values:(Labeling.random rand g))
+          g
+          (List.init (1 + Random.State.int rand 3) Fun.id)
+      in
+      merged := !merged + compare_derivations (ctx ^ "+extras") g)
+    (data @ fuzzed_graphs rand);
+  check (!merged > 0) "some module merged a kept state signal"
+
+(* Independent rings: every output hides most of the other rings one
+   signal at a time, the longest hide chains of any family. *)
+let test_differential_rings () =
+  List.iter
+    (fun rings ->
+      ignore
+        (compare_derivations
+           (Printf.sprintf "parrings%d" rings)
+           (Sg.of_stg (Bench_gen.parallel_rings ~rings))))
+    [ 3; 4 ]
 
 (* ================================================================== *)
 (* Cones and tampering                                                 *)
@@ -586,6 +630,10 @@ let () =
             test_differential_benchmarks;
           Alcotest.test_case "naive Fig. 2 oracle agrees on fuzzed STGs"
             `Quick test_differential_fuzz;
+          Alcotest.test_case "naive Fig. 2 oracle agrees with state signals"
+            `Quick test_differential_extras;
+          Alcotest.test_case "naive Fig. 2 oracle agrees on parallel rings"
+            `Quick test_differential_rings;
         ] );
       ( "mutants",
         [

@@ -470,39 +470,6 @@ let test_product_same_label_edges () =
        Fourval.[| V0; V0; V0; Up; V1; Up; Up |], 0);
     ]
 
-(* Random legal labelings: a copy of some signal's excitation (when that
-   copy is legal), then random flips that keep every edge legal. *)
-let excitation_copy sg s =
-  Array.init (Sg.n_states sg) (fun m ->
-      let excited dir = Sg.excited sg m ~signal:s ~dir in
-      match Sg.bit sg m s with
-      | false -> if excited Sg.R then Fourval.Up else Fourval.V0
-      | true -> if excited Sg.F then Fourval.Dn else Fourval.V1)
-
-let legal sg values =
-  Array.for_all
-    (fun e -> Fourval.edge_ok values.(e.Sg.src) values.(e.Sg.dst))
-    (Sg.edges sg)
-
-let flip rand sg values ~times =
-  for _ = 1 to times do
-    let m = Random.State.int rand (Sg.n_states sg) in
-    let v = Fourval.([| V0; V1; Up; Dn |]).(Random.State.int rand 4) in
-    let at s = if s = m then v else values.(s) in
-    if List.for_all (fun e -> Fourval.edge_ok (at e.Sg.src) v) (Sg.pred sg m)
-       && List.for_all (fun e -> Fourval.edge_ok v (at e.Sg.dst)) (Sg.succ sg m)
-    then values.(m) <- v
-  done
-
-let random_labeling rand sg =
-  let n = Sg.n_states sg in
-  let values =
-    let v = excitation_copy sg (Random.State.int rand (Sg.n_signals sg)) in
-    if legal sg v then v else Array.make n Fourval.V0
-  in
-  flip rand sg values ~times:(Random.State.int rand ((2 * n) + 1));
-  values
-
 (* The graphs: every data/ net, random STGs and the benchmark's [expand]
    nets, each with the labeling synthesis settles on (computed on first
    use) — random flips of that labeling are the near misses the
@@ -564,7 +531,7 @@ let draw_labeling rand =
     for _ = 1 to 1 + Random.State.int rand 3 do
       let index = Random.State.int rand (Sg.n_extras final) in
       let values = Array.copy (Sg.extras !sg).(index).Sg.values in
-      flip rand final values ~times:(Random.State.int rand ((n / 4) + 2));
+      Labeling.flip rand final values ~times:(Random.State.int rand ((n / 4) + 2));
       sg := Sg.set_extra_values !sg ~index ~values
     done;
     !sg
@@ -575,7 +542,7 @@ let draw_labeling rand =
     List.fold_left
       (fun acc i ->
         Sg.add_extra acc ~name:(Printf.sprintf "x%d" i)
-          ~values:(random_labeling rand sg))
+          ~values:(Labeling.random rand sg))
       sg
       (List.init (1 + Random.State.int rand max_extras) Fun.id)
 
@@ -591,6 +558,55 @@ let prop_product_matches_expansion =
            csc=%b sm=%b violations=%d"
           (Sg.name sg) (Sg.n_extras sg) csc sm n csc' sm' n'
       else true)
+
+(* ---------------- Quotient composition ---------------- *)
+
+(* Hiding H and then S (named in the H-quotient's numbering) is hiding
+   H ∪ S at once, and dropping extras composes the same way: whenever the
+   first quotient succeeds, the second fails exactly when the one-shot
+   quotient does, and otherwise gives the same graph under the composed
+   cover.  Each signal and extra is drawn into the first step, the second
+   or neither. *)
+let prop_quotient_composes =
+  QCheck.Test.make ~name:"quotient by H then S is quotient by H ∪ S"
+    ~count:300 QCheck.(make ~print:string_of_int Gen.int) (fun draw ->
+      let rand = Random.State.make [| draw |] in
+      let sg =
+        if Random.State.bool rand then draw_labeling rand
+        else
+          let pool = Lazy.force labeling_pool in
+          Lazy.force pool.(Random.State.int rand (Array.length pool)).sg
+      in
+      let step = Array.init (Sg.n_signals sg) (fun _ -> Random.State.int rand 3) in
+      let xstep = Hashtbl.create 4 in
+      Array.iter
+        (fun (x : Sg.extra) -> Hashtbl.replace xstep x.Sg.xname (Random.State.int rand 3))
+        (Sg.extras sg);
+      let hide k s = step.(s) = k and drop k x = Hashtbl.find xstep x = k in
+      match
+        Sg.quotient sg ~keep_signal:(fun s -> not (hide 1 s))
+          ~keep_extra:(fun x -> not (drop 1 x))
+      with
+      | None -> true
+      | Some (g1, c1) -> (
+        let once =
+          Sg.quotient sg ~keep_signal:(fun s -> step.(s) = 0)
+            ~keep_extra:(fun x -> Hashtbl.find xstep x = 0)
+        in
+        let twice =
+          Sg.quotient g1
+            ~keep_signal:(fun s -> not (hide 2 (Sg.find_signal sg (Sg.signal_name g1 s))))
+            ~keep_extra:(fun x -> not (drop 2 x))
+        in
+        match (once, twice) with
+        | None, None -> true
+        | Some (g, c), Some (g2, c2) ->
+          Sg.digest g = Sg.digest g2 && c = Array.map (fun m -> c2.(m)) c1
+          || QCheck.Test.fail_reportf "%s: composed quotient differs" (Sg.name sg)
+        | Some _, None | None, Some _ ->
+          QCheck.Test.fail_reportf "%s: one-shot %s, composed %s" (Sg.name sg)
+            (if Option.is_none once then "fails" else "succeeds")
+            (if Option.is_none twice then "fails" else "succeeds")))
 
 (* ---------------- Region minimization ---------------- *)
 
@@ -681,6 +697,7 @@ let () =
           Alcotest.test_case "up/dn rejection" `Quick
             test_quotient_rejects_updn_merge;
           Alcotest.test_case "drop extra" `Quick test_quotient_keep_extra_filter;
+          Qseed.to_alcotest prop_quotient_composes;
         ] );
       ( "expansion",
         [
