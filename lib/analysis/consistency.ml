@@ -3,6 +3,15 @@ let rule = "A1-consistency"
 let check ~loc stg ~tinvs ~fireable =
   let diags = ref [] in
   let emit d = diags := d :: !diags in
+  if Stg.n_signals stg = 0 then
+    emit
+      (Diagnostic.v ~rule ~severity:Error ~loc
+         ~subject:(Diagnostic.Net (Stg.name stg))
+         ~hint:"declare the interface with .inputs/.outputs and give the \
+                signals transitions under .graph"
+         "declares no signals"
+         "an STG without signals specifies no behaviour: there is no \
+          circuit to synthesize");
   for s = 0 to Stg.n_signals stg - 1 do
     let subject = Diagnostic.Sig (Stg.signal_name stg s) in
     let ts = Stg.transitions_of stg s in

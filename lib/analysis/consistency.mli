@@ -8,7 +8,10 @@
       can change in one direction only;
     - every T-invariant — the structural generator of cyclic behaviour —
       must fire [s+] and [s-] equally often, otherwise some candidate
-      cycle drives the signal up more than down. *)
+      cycle drives the signal up more than down.
+
+    A specification that declares no signals at all (an empty file, or
+    a [.model] line alone) is an error too: it specifies no behaviour. *)
 
 val check :
   loc:Diagnostic.locator ->

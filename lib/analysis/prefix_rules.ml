@@ -414,7 +414,7 @@ let diagnostics ~loc stg summary =
              eps-contraction (prefix: %d events)"
             m c summary.s_events)
          "exact state-space size computed from the prefix without \
-          explicit exploration; synthesize_best uses it to pick a \
-          constraint backend statically")
+          explicit exploration; synthesis uses it to pick the \
+          reachability engine statically")
   | _ -> ());
   List.rev !diags

@@ -22,7 +22,7 @@
       {!Mpart} accepts as a second prescreen besides A6.
     - {b U4} ([U4-statebound]): exact state-graph size (markings and
       ε-classes) reported as a diagnostic and used by
-      [Mpart.synthesize_best] to pick a constraint backend statically.
+      [Mpart.synthesize] to pick the reachability engine statically.
 
     All verdicts are tri-state: when the prefix or the sweep hit their
     caps the analysis abstains ([None]s) rather than guessing, and the

@@ -64,8 +64,7 @@ val solve :
 
     [normalize] (default true) shrinks each new signal's excitation
     region at the module level before returning; disabling it leaves the
-    raw solver regions, which occasionally cascade into better global
-    results — the portfolio driver exploits exactly that. *)
+    raw solver regions ([Mpart]'s [normalize_modules] ablation). *)
 val solve_pairs :
   ?backtrack_limit:int ->
   ?time_limit:float ->

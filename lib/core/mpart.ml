@@ -13,7 +13,6 @@ type config = {
   prescreen : bool;
   prefix_prescreen : bool;
   prefix_max_events : int;
-  bdd_threshold : int;
   reach : [ `Auto | `Explicit | `Symbolic ];
   symbolic_threshold : int;
   dedup_cones : bool;
@@ -34,7 +33,6 @@ let default_config =
     prescreen = true;
     prefix_prescreen = true;
     prefix_max_events = 2048;
-    bdd_threshold = 2048;
     reach = `Auto;
     symbolic_threshold = 2048;
     dedup_cones = true;
@@ -65,7 +63,6 @@ let fingerprint config =
     ("prescreen", string_of_bool config.prescreen);
     ("prefix_prescreen", string_of_bool config.prefix_prescreen);
     ("prefix_max_events", string_of_int config.prefix_max_events);
-    ("bdd_threshold", string_of_int config.bdd_threshold);
     ("dedup_cones", string_of_bool config.dedup_cones);
     ("order_by_risk", string_of_bool config.order_by_risk);
     ("max_states", string_of_int config.max_states);
@@ -272,6 +269,28 @@ let cone_of (inp : Input_derivation.t) conflicts =
     c_conflicts = conflicts;
   }
 
+let outputs_of complete =
+  List.filter (Sg.non_input complete) (List.init (Sg.n_signals complete) Fun.id)
+
+(* Derive output [o]'s module from [g] (ε-projection onto its input set)
+   and count the module's CSC conflicts.  A static CSC certificate
+   (lock-relation prescreen, rule A6, or the prefix rule U3) guarantees
+   the complete graph is conflict-free, so the module quotients need no
+   state signals: [csc_certified] skips conflict counting and the SAT
+   engine outright.  Artifact conflicts a quotient would show are
+   exactly the pairs the certificate proves spurious. *)
+let analyze ~csc_certified g o =
+  Log.debug (fun m -> m "deriving module for output %s" (Sg.signal_name g o));
+  let inp = Input_derivation.determine g ~output:o in
+  let conflicts =
+    if csc_certified then 0
+    else
+      Csc.n_output_conflicts inp.Input_derivation.module_sg
+        ~output:
+          (Sg.find_signal inp.Input_derivation.module_sg (Sg.signal_name g o))
+  in
+  (o, inp, conflicts)
+
 let synthesize_sg_uncached ~config ~csc_certified complete =
   let t0 = Sys.time () in
   let counter = ref 0 in
@@ -280,9 +299,7 @@ let synthesize_sg_uncached ~config ~csc_certified complete =
     incr counter;
     n
   in
-  let outputs =
-    List.filter (Sg.non_input complete) (List.init (Sg.n_signals complete) Fun.id)
-  in
+  let outputs = outputs_of complete in
   let current = ref complete in
   let reports = ref [] in
   (* Per-output support for logic derivation, in complete-graph signal
@@ -290,38 +307,18 @@ let synthesize_sg_uncached ~config ~csc_certified complete =
   let supports : (string, string list) Hashtbl.t = Hashtbl.create 8 in
   (* The derivation stage — ε-projection of the complete graph onto each
      output's input set plus modular CSC conflict detection — only reads
-     the graph, so all pending outputs are analyzed concurrently up
-     front ({!Pool}).  The solve/propagate stage mutates the shared
-     complete graph and keeps the original sequential order; whenever it
-     lands new state signals in the graph, the precomputed analyses of
-     the outputs not yet consumed are stale (a new signal can separate
-     their conflicts or join their module) and are recomputed against
-     the updated graph in a fresh parallel batch.  Every consumed
-     analysis was therefore computed against exactly the graph the
-     sequential loop would have used, so results are bit-identical for
-     any [jobs]; with [jobs = 1] outputs are analyzed one at a time,
-     reproducing the historical work pattern as well. *)
-  let analyze g o =
-    Log.debug (fun m ->
-        m "deriving module for output %s" (Sg.signal_name complete o));
-    let inp = Input_derivation.determine g ~output:o in
-    (* A static CSC certificate (lock-relation prescreen, rule A6)
-       guarantees the complete graph is conflict-free, so the module
-       quotients need no state signals: skip conflict counting and the
-       SAT engine outright.  Artifact conflicts a quotient would show
-       are exactly the pairs the certificate proves spurious. *)
-    let conflicts =
-      if csc_certified then 0
-      else
-        Csc.n_output_conflicts inp.Input_derivation.module_sg
-          ~output:
-            (Sg.find_signal inp.Input_derivation.module_sg
-               (Sg.signal_name g o))
-    in
-    (o, inp, conflicts)
-  in
+     the graph, so all outputs are analyzed concurrently up front
+     ({!Pool}).  The solve/propagate stage mutates the shared complete
+     graph and keeps the sequential order; once it lands new state
+     signals in the graph, the precomputed analyses of the outputs not
+     yet consumed are stale (a new signal can separate their conflicts
+     or join their module), so each of them is recomputed against the
+     updated graph just before it is consumed.  Every consumed analysis
+     was therefore computed against exactly the graph the sequential
+     loop uses, so results are bit-identical for any [jobs]. *)
+  let analyze = analyze ~csc_certified in
   (* The partition plan: every output analyzed once against the initial
-     complete graph (these analyses double as the first solve batch),
+     complete graph (these analyses double as the first solve pass),
      audited by the static M rules, and consumed below for duplicate-cone
      dedup and risk-ordered solving. *)
   let plan_analyses = Pool.map_list ~jobs:config.jobs (analyze complete) outputs in
@@ -437,44 +434,21 @@ let synthesize_sg_uncached ~config ~csc_certified complete =
     reports := module_report !current inp sat ~conflicts ~new_signals :: !reports;
     changed
   in
-  (* Analysis batches are [jobs] wide: as wide as the pool can run
-     concurrently, so no parallelism is lost, while a graph mutation
-     wastes at most [jobs - 1] precomputed analyses instead of every
-     pending output's. *)
-  let rec split_batch k = function
-    | rest when k = 0 -> ([], rest)
-    | [] -> ([], [])
-    | o :: rest ->
-      let batch, deferred = split_batch (k - 1) rest in
-      (o :: batch, deferred)
-  in
-  let rec run_batches pending =
-    match pending with
-    | [] -> ()
-    | _ ->
-      let batch, deferred = split_batch (max 1 config.jobs) pending in
-      stale_analyses := !stale_analyses + List.length batch;
-      let analyzed = Pool.map_list ~jobs:config.jobs (analyze !current) batch in
-      (* consume in order; on graph change the rest of the batch is stale *)
-      let rec go = function
-        | [] -> []
-        | a :: rest ->
-          if consume a then List.map (fun (o, _, _) -> o) rest else go rest
-      in
-      let stale = go analyzed in
-      run_batches (stale @ deferred)
-  in
-  (* First pass over the plan analyses (all computed against [complete],
-     which is exactly [!current] until the first mutation); once a solve
-     lands state signals, the not-yet-consumed outputs fall back to the
-     jobs-wide re-analysis batches. *)
+  (* Consume the plan analyses (all computed against [complete], which
+     is exactly [!current] until the first mutation); once a solve lands
+     state signals, every remaining output is re-analyzed against the
+     updated graph just before it is consumed. *)
   let rec consume_plan = function
     | [] -> []
     | a :: rest ->
       if consume a then List.map (fun (o, _, _) -> o) rest
       else consume_plan rest
   in
-  run_batches (consume_plan plan_analyses);
+  List.iter
+    (fun o ->
+      incr stale_analyses;
+      ignore (consume (analyze !current o)))
+    (consume_plan plan_analyses);
   (* Fallback: conflicts invisible to every module. *)
   let fallback = ref None in
   Log.debug (fun m ->
@@ -699,18 +673,10 @@ let prefix_summary ?(jobs = 1) config stg =
     (fun () ->
       Prefix_rules.analyze ~jobs ~max_events:config.prefix_max_events stg)
 
-(* One synthesis consults the prefix for up to three decisions — the
-   certificate, the reachability engine and the constraint backend — so
-   it builds it lazily, at most once per call, and hands the same value
-   to each of them. *)
+(* One synthesis consults the prefix for up to two decisions — the
+   certificate and the reachability engine — so it builds it lazily, at
+   most once per call, and hands the same value to both. *)
 let lazy_prefix config stg = lazy (prefix_summary ~jobs:config.jobs config stg)
-
-(* The exact state bound of the prefix sweep: the U4 marking count when
-   the sweep finished, otherwise the marking lower bound. *)
-let state_bound (p : Prefix_rules.summary) =
-  match p.Prefix_rules.s_sg_states with
-  | Some _ as b -> b
-  | None -> p.Prefix_rules.s_markings
 
 (* CSC prescreens, cheapest first.  A6 (lock relations) is purely
    structural; when it abstains, the exact U3 verdict from the complete
@@ -730,39 +696,29 @@ let certificate_of config stg prefix =
 let certificate_source config stg =
   certificate_of config stg (lazy_prefix config stg)
 
-(* U4-driven backend selection: the prefix sweep knows the exact state
-   count before any explicit graph is built, so the constraint engine
-   can be picked statically — BDD-first for big state spaces, the
-   default WalkSAT+DPLL hybrid otherwise.  Only the default [`Sat]
-   choice is overridden; an explicit --backend always wins. *)
-let choose_backend config ~state_bound =
-  match (config.backend, state_bound) with
-  | `Sat, Some n when n >= config.bdd_threshold -> `Bdd
-  | b, _ -> b
-
-(* The same flip for the reachability engine: when the exact U4 bound
-   says the explicit sweep will enumerate a large state space, [`Auto]
-   switches to the partitioned-transition-relation BDD engine (whose
-   graph is byte-identical); an explicit [`Explicit]/[`Symbolic] choice
-   — the --symbolic flag — is never overridden. *)
-let choose_reach config ~state_bound =
-  match (config.reach, state_bound) with
-  | `Auto, Some n when n >= config.symbolic_threshold -> `Symbolic
-  | r, _ -> r
-
-(* Resolve an [`Auto] reach engine from the prefix's state bound.
-   Without the prefix prescreen there is no bound to consult and
-   [`Auto] stays on the explicit sweep. *)
+(* U4-driven choice of the reachability engine: when the exact state
+   bound of the prefix sweep (the U4 marking count when the sweep
+   finished, otherwise the marking lower bound) says the explicit sweep
+   will enumerate a large state space, [`Auto] switches to the
+   partitioned-transition-relation BDD engine (whose graph is
+   byte-identical).  An explicit [`Explicit]/[`Symbolic] choice — the
+   --symbolic flag — is never overridden, and without the prefix
+   prescreen there is no bound to consult, so [`Auto] stays on the
+   explicit sweep. *)
 let auto_reach config prefix =
   match config.reach with
-  | `Explicit | `Symbolic -> config
-  | `Auto ->
-    if not config.prefix_prescreen then config
-    else
-      {
-        config with
-        reach = choose_reach config ~state_bound:(state_bound (Lazy.force prefix));
-      }
+  | `Auto when config.prefix_prescreen -> (
+    let p : Prefix_rules.summary = Lazy.force prefix in
+    let bound =
+      match p.Prefix_rules.s_sg_states with
+      | Some _ as b -> b
+      | None -> p.Prefix_rules.s_markings
+    in
+    match bound with
+    | Some n when n >= config.symbolic_threshold ->
+      { config with reach = `Symbolic }
+    | _ -> config)
+  | _ -> config
 
 (* Reachability exploration + consistent state assignment, keyed by the
    canonical [.g] digest of the specification.  The stage name records
@@ -795,24 +751,12 @@ let partition_summary ?jobs config stg =
     (Cache_key.stg_digest stg)
     (fun () ->
       let complete = complete_of_stg config stg in
-      let outputs =
-        List.filter (Sg.non_input complete)
-          (List.init (Sg.n_signals complete) Fun.id)
-      in
-      let cones =
-        Pool.map_list ~jobs
-          (fun o ->
-            let inp = Input_derivation.determine complete ~output:o in
-            let conflicts =
-              Csc.n_output_conflicts inp.Input_derivation.module_sg
-                ~output:
-                  (Sg.find_signal inp.Input_derivation.module_sg
-                     (Sg.signal_name complete o))
-            in
-            cone_of inp conflicts)
-          outputs
-      in
-      Partition_check.summarize ~complete cones)
+      Pool.map_list ~jobs
+        (fun o ->
+          let _, inp, conflicts = analyze ~csc_certified:false complete o in
+          cone_of inp conflicts)
+        (outputs_of complete)
+      |> Partition_check.summarize ~complete)
 
 let synthesize ?(config = default_config) stg =
   (* The top-level entry elides even the reachability exploration and
@@ -824,55 +768,6 @@ let synthesize ?(config = default_config) stg =
       let csc_certified = certificate_of config stg prefix <> `None in
       let complete = complete_of_stg (auto_reach config prefix) stg in
       synthesize_sg ~config ~csc_certified complete)
-
-let synthesize_best ?(config = default_config) stg =
-  memoize config ~stage:"synth-best" ~params:(fingerprint config)
-    (Cache_key.stg_digest stg)
-    (fun () ->
-      let prefix = lazy_prefix config stg in
-      let source = certificate_of config stg prefix in
-      let csc_certified = source <> `None in
-      (match source with
-      | `Prefix ->
-        Log.debug (fun m ->
-            m "CSC certified by the finite prefix (U3); SAT skipped")
-      | `Lockrel | `None -> ());
-      let config =
-        if not config.prefix_prescreen then config
-        else begin
-          let state_bound = state_bound (Lazy.force prefix) in
-          {
-            config with
-            backend = choose_backend config ~state_bound;
-            reach = choose_reach config ~state_bound;
-          }
-        end
-      in
-      let complete = complete_of_stg config stg in
-      let area r = Derive.total_literals r.functions in
-      (* The portfolio candidates are independent full runs over the same
-         immutable complete graph, so they fan out over the pool.  Results
-         come back in candidate order and the min-area fold below keeps the
-         earlier candidate on ties, so the winner never depends on
-         scheduling. *)
-      let candidates =
-        Pool.map_filter ~jobs:config.jobs
-          (fun normalize_modules ->
-            match
-              synthesize_sg
-                ~config:{ config with normalize_modules }
-                ~csc_certified complete
-            with
-            | r -> Some r
-            | exception Synthesis_failed _ -> None)
-          [ true; false ]
-      in
-      match candidates with
-      | [] -> raise (Synthesis_failed "no portfolio configuration succeeded")
-      | first :: rest ->
-        List.fold_left
-          (fun best r -> if area r < area best then r else best)
-          first rest)
 
 let initial_states r = Sg.n_states r.complete
 let initial_signals r = Sg.n_signals r.complete

@@ -28,8 +28,7 @@ type config = {
       (** constraint engine: WalkSAT+DPLL hybrid, DPLL alone, or
           BDD-first (paper [19]) *)
   normalize_modules : bool;
-      (** shrink excitation regions at the module level (default true);
-          {!synthesize_best} tries both settings *)
+      (** shrink excitation regions at the module level (default true) *)
   exact_covers : bool;
       (** minimize covers with {!Exact} instead of {!Espresso}
           (default false; exact falls back to the heuristic on caps) *)
@@ -41,24 +40,19 @@ type config = {
       (** when A6 abstains, fall back to the exact partial-order
           prescreen: build a complete finite prefix of the unfolding
           and accept rule U3's conflict-free verdict as a CSC
-          certificate; also lets {!synthesize_best} pick a constraint
-          backend from the exact U4 state bound (default true) *)
+          certificate; also lets an [`Auto] [reach] pick the reachability
+          engine from the exact U4 state bound (default true) *)
   prefix_max_events : int;
       (** event cap for the prefix construction; past it the prefix
           rules abstain and synthesis proceeds as if unscreened
           (default 2048) *)
-  bdd_threshold : int;
-      (** U4 state bound at which {!synthesize_best} switches the
-          default [`Sat] backend to [`Bdd]; an explicit backend choice
-          is never overridden (default 2048) *)
   reach : [ `Auto | `Explicit | `Symbolic ];
       (** reachability engine for the complete state graph every module
           projects from: the explicit marking sweep ([Reach.explore])
           or the partitioned-transition-relation BDD fixpoint
           ({!Symbolic}), which produces a byte-identical graph.
-          [`Auto] (the default) consults the exact U4 prefix bound —
-          mirroring the [bdd_threshold] backend flip — and switches to
-          the symbolic engine when the bound reaches
+          [`Auto] (the default) consults the exact U4 prefix bound and
+          switches to the symbolic engine when the bound reaches
           [symbolic_threshold]; an explicit choice (the [--symbolic]
           flag) is never overridden.  Nets outside the symbolic
           encoding fall back to the explicit sweep internally, so the
@@ -79,14 +73,14 @@ type config = {
           insertions invalidate fewer pending analyses (default true) *)
   jobs : int;
       (** domain-pool width for the solver-independent stages: the
-          {!synthesize_best} portfolio and the per-output
-          derivation/projection/conflict-detection batches fan out over
-          {!Pool} with this width.  [1] forces the historical fully
-          sequential path; any width produces bit-identical results
-          (the mutating solve/propagate stage stays ordered and stale
-          analyses are recomputed).  Default: {!Pool.default_jobs} at
-          module initialization ([MPSYN_JOBS] or the machine's
-          recommended domain count). *)
+          per-output derivation/projection/conflict-detection of the
+          partition plan fans out over {!Pool} with this width.  [1]
+          forces the fully sequential path; any width produces
+          bit-identical results (the mutating solve/propagate stage
+          stays ordered, and each analysis made stale by a solve is
+          recomputed just before it is consumed).  Default:
+          {!Pool.default_jobs} at module initialization ([MPSYN_JOBS]
+          or the machine's recommended domain count). *)
   cache : Cache_store.t option;
       (** content-addressed memoization of the solver-independent
           stages (default [None]: no caching).  Keys combine the
@@ -140,7 +134,8 @@ type result = {
           earlier CSC solution instead of solving (dedup_cones) *)
   stale_analyses : int;
       (** module analyses recomputed because an earlier solve mutated
-          the complete graph — the M4 ordering tries to keep this low *)
+          the complete graph — the M4 ordering tries to keep this low;
+          the count does not depend on [jobs] *)
   elapsed : float;
 }
 
@@ -182,21 +177,6 @@ val partition_summary : ?jobs:int -> config -> Stg.t -> Partition_check.summary
     [`Prefix] is what lets nets whose USC fails but CSC holds skip the
     SAT pipeline — A6's sufficient condition cannot see those. *)
 val certificate_source : config -> Stg.t -> [ `Lockrel | `Prefix | `None ]
-
-(** [choose_backend config ~state_bound] applies the U4 heuristic: the
-    default [`Sat] backend becomes [`Bdd] when the exact state bound
-    reaches [config.bdd_threshold]; explicit choices pass through. *)
-val choose_backend :
-  config -> state_bound:int option -> [ `Sat | `Dpll | `Bdd ]
-
-(** [synthesize_best ?config stg] runs a small configuration portfolio
-    (module normalization on and off — the greedy pipeline is chaotic
-    enough that either can win) and returns the verified result with the
-    smallest two-level area; ties break toward the earlier candidate, so
-    the choice is deterministic.  With [config.jobs > 1] the candidates
-    run concurrently on the domain pool, so the portfolio costs at most
-    one {!synthesize} of wall clock instead of two. *)
-val synthesize_best : ?config:config -> Stg.t -> result
 
 (** {1 Result accessors (Table 1 columns)} *)
 

@@ -3,9 +3,9 @@
    [map] call forms a batch; the calling domain enqueues the batch's
    tasks and then *helps*: it keeps executing queued tasks (its own or
    any other batch's) until its batch has drained.  Helping is what
-   makes nested maps safe — a worker running a portfolio candidate that
-   itself fans out module projections can always make progress on the
-   nested batch with its own two hands, even when every other worker is
+   makes nested maps safe — a worker running a lint task that itself
+   fans out module projections can always make progress on the nested
+   batch with its own two hands, even when every other worker is
    busy, so there is no execution state in which all executors wait. *)
 
 let env_jobs () =
@@ -116,8 +116,8 @@ type batch = {
   bcond : Condition.t; (* signalled when the batch fully drains *)
   mutable remaining : int;
   mutable failed : (int * exn * Printexc.raw_backtrace) option;
-      (* lowest-indexed failure; once set, still-pending tasks of the
-         batch are drained without running *)
+      (* lowest-indexed failure so far; once set, still-pending tasks
+         of the batch with a higher index are drained without running *)
 }
 
 let parallel_map ~jobs f arr =
@@ -133,9 +133,11 @@ let parallel_map ~jobs f arr =
     }
   in
   let exec i =
+    (* A lower-indexed task still runs: it may fail too, and its
+       exception is the one the batch must surface. *)
     let cancelled =
       Mutex.lock b.bmutex;
-      let c = b.failed <> None in
+      let c = match b.failed with Some (j, _, _) -> j < i | None -> false in
       Mutex.unlock b.bmutex;
       c
     in
@@ -203,4 +205,3 @@ let map ?jobs f arr =
   else parallel_map ~jobs f arr
 
 let map_list ?jobs f l = Array.to_list (map ?jobs f (Array.of_list l))
-let map_filter ?jobs f l = List.filter_map Fun.id (map_list ?jobs f l)

@@ -1,23 +1,23 @@
 (** Fixed-size domain pool for the solver-independent stages of the flow.
 
     The paper's partitioning produces many small {e independent} problems
-    — portfolio candidates, per-output module projections, benchmark rows,
-    fuzz cases — and this module is the one place that fans them out over
+    — per-output module projections, lint targets, benchmark rows, fuzz
+    cases — and this module is the one place that fans them out over
     OCaml 5 domains.  The pool is hand-rolled over [Domain], [Mutex] and
     [Condition]: a single global task queue served by lazily spawned
     worker domains, plus {e caller helping} — the domain that submits a
     batch also executes queued tasks while it waits, so nested
-    [map]-inside-[map] calls (the portfolio running the module pipeline)
+    [map]-inside-[map] calls (a lint target running the module pipeline)
     can never deadlock and total parallelism stays bounded by the pool
     size rather than multiplying.
 
     Determinism contract: results are returned in input order; a batch
     whose tasks raise surfaces the exception of the {e lowest-indexed}
-    failing task (remaining tasks are cancelled: they are drained without
-    running).  With [jobs = 1] no domain is involved at all — the map
-    runs in the caller, left to right, bit-identical to a plain
-    [List.map] — so [--jobs 1] reproduces the historical sequential
-    behaviour exactly.
+    failing task (pending tasks with a higher index are cancelled: they
+    are drained without running).  With [jobs = 1] no domain is involved
+    at all — the map runs in the caller, left to right, bit-identical to
+    a plain [List.map] — so [--jobs 1] reproduces the historical
+    sequential behaviour exactly.
 
     Tasks must not share unsynchronized mutable state; everything this
     repository fans out operates on immutable state graphs and
@@ -40,14 +40,11 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
     [jobs] applications concurrently (default {!default_jobs}).
     Results keep input order.  If any application raises, the whole
     call raises the exception of the lowest-indexed failure after all
-    started tasks have settled and pending ones were cancelled. *)
+    started tasks have settled and pending higher-indexed ones were
+    cancelled. *)
 
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** List version of {!map}; same ordering and failure contract. *)
-
-val map_filter : ?jobs:int -> ('a -> 'b option) -> 'a list -> 'b list
-(** [map_filter ?jobs f l] is [List.filter_map f l] with the
-    applications fanned out like {!map_list}. *)
 
 val n_workers : unit -> int
 (** Worker domains currently alive (excludes callers helping); for

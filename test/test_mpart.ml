@@ -450,16 +450,12 @@ let test_too_wide () =
     [ "synth"; "verify" ];
   Sys.remove file
 
-(* [a+ -> b+ -> a+] with no [a-]: no consistent state assignment.  Every
-   subcommand that reads the spec exits with a documented code from the
-   README exit table, never cmdliner's 125: [synth] and [lint] reject it
-   in the lint pass (3), the others at the state assignment (1). *)
-let test_inconsistent_exits () =
-  let file = Filename.temp_file "inconsistent" ".g" in
-  Out_channel.with_open_text file (fun oc ->
-      output_string oc
-        ".model inconsistent\n.inputs a\n.outputs b\n.graph\na+ b+\nb+ a+\n\
-         .marking { <b+,a+> }\n.end\n");
+(* Run each subcommand of [cases] on a [.g] file holding [text] and
+   check its exit code: every input maps to a documented code from the
+   README exit table, never cmdliner's 125. *)
+let check_exits label text cases =
+  let file = Filename.temp_file "exits" ".g" in
+  Out_channel.with_open_text file (fun oc -> output_string oc text);
   let mpsyn = Filename.concat ".." (Filename.concat "bin" "mpsyn.exe") in
   List.iter
     (fun (cmd, expected) ->
@@ -468,12 +464,30 @@ let test_inconsistent_exits () =
           (Printf.sprintf "%s %s %s > /dev/null 2>&1" mpsyn cmd
              (Filename.quote file))
       in
-      check_int (Printf.sprintf "%s exits %d" cmd expected) expected code)
+      check_int (Printf.sprintf "%s: %s exits %d" label cmd expected)
+        expected code)
+    cases;
+  Sys.remove file
+
+(* [a+ -> b+ -> a+] with no [a-]: no consistent state assignment.
+   [synth] and [lint] reject it in the lint pass (3), the others at the
+   state assignment (1). *)
+let test_inconsistent_exits () =
+  check_exits "inconsistent"
+    ".model inconsistent\n.inputs a\n.outputs b\n.graph\na+ b+\nb+ a+\n\
+     .marking { <b+,a+> }\n.end\n"
     [
       ("synth", 3); ("lint", 3); ("verify", 1); ("verilog", 1); ("info", 1);
       ("dot", 1); ("bench", 1);
-    ];
-  Sys.remove file
+    ]
+
+(* A spec that declares no signals — an empty file, or a [.model] line
+   alone — describes no circuit.  Rule A1 rejects it, so [synth] and
+   [lint] exit 3 instead of reporting a verified empty netlist. *)
+let test_no_signals_exits () =
+  List.iter
+    (fun (label, text) -> check_exits label text [ ("synth", 3); ("lint", 3) ])
+    [ ("empty file", ""); (".model only", ".model m\n.end\n") ]
 
 (* property: on the generated pipeline family, modular synthesis always
    converges, satisfies CSC after expansion, and the implementation
@@ -546,6 +560,8 @@ let () =
           Alcotest.test_case "pipeline 16 and 20" `Slow test_pipeline_scale;
           Alcotest.test_case "inconsistent spec exits" `Quick
             test_inconsistent_exits;
+          Alcotest.test_case "spec without signals exits" `Quick
+            test_no_signals_exits;
         ] );
       ( "properties",
         [

@@ -210,23 +210,6 @@ let test_lockring_bound signals () =
     (Unfold.n_noncutoff u < Reach.n_states g)
     "prefix smaller than state graph"
 
-(* U4-driven backend selection is pure and only overrides the default *)
-let test_choose_backend () =
-  let cfg = Mpart.default_config in
-  Alcotest.(check bool) "under threshold stays sat" true
-    (Mpart.choose_backend cfg ~state_bound:(Some (cfg.Mpart.bdd_threshold - 1))
-    = `Sat);
-  Alcotest.(check bool) "over threshold goes bdd" true
-    (Mpart.choose_backend cfg ~state_bound:(Some cfg.Mpart.bdd_threshold)
-    = `Bdd);
-  Alcotest.(check bool) "no bound stays sat" true
-    (Mpart.choose_backend cfg ~state_bound:None = `Sat);
-  Alcotest.(check bool) "explicit choice wins" true
-    (Mpart.choose_backend
-       { cfg with Mpart.backend = `Dpll }
-       ~state_bound:(Some 1_000_000)
-    = `Dpll)
-
 (* ---------------- U1/U2 refute with witnesses ---------------------- *)
 
 (* Two tokens feed the same cycle: place q ends up doubly marked.  U1
@@ -357,7 +340,6 @@ let () =
             (test_parallel_rings_prescreen 5);
           Alcotest.test_case "lock-ring8 prefix < states" `Quick
             (test_lockring_bound 8);
-          Alcotest.test_case "backend selection" `Quick test_choose_backend;
         ] );
       ( "refutations",
         [
