@@ -100,11 +100,10 @@ let load_stg_spans path_or_name =
 
 let load_stg path_or_name = fst (load_stg_spans path_or_name)
 
-(* Shared fail-fast pre-pass for synthesis commands: reject structurally
-   broken STGs (rules A1–A5) before any state graph is built. *)
-let lint_gate ~skip name =
+(* Fail-fast pre-pass for synthesis: reject structurally broken STGs
+   (rules A1–A5), loaded from [name], before any state graph is built. *)
+let lint_gate ~skip name (stg, map) =
   if not skip then begin
-    let stg, map = load_stg_spans name in
     let { Lint.report; _ } = Lint.run ?map stg in
     if not (Diagnostic.clean report) then begin
       Format.eprintf "%a" Diagnostic.pp report;
@@ -506,8 +505,8 @@ let synth_cmd =
     guard_budget @@ fun () ->
     let jobs = resolve_jobs jobs_opt in
     let cache = resolve_cache cache_opt in
-    lint_gate ~skip:no_lint stg_name;
-    let stg = load_stg stg_name in
+    let ((stg, _) as spec) = load_stg_spans stg_name in
+    lint_gate ~skip:no_lint stg_name spec;
     match method_ with
     | `Modular ->
       let config =

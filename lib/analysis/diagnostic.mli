@@ -94,3 +94,8 @@ val schema : string
     version, a [summary] and a [diagnostics] array — the
     machine-readable interface promised by [mpsyn lint --json]. *)
 val to_json : report -> string
+
+(** [json_escape s] is [s] escaped for a JSON string literal (without
+    the quotes) — the one escaper every hand-rolled JSON writer of the
+    analysis passes shares. *)
+val json_escape : string -> string

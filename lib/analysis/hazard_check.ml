@@ -345,19 +345,7 @@ let pp_result ppf r =
     Format.fprintf ppf "@]"
   | Abstained why -> Format.fprintf ppf "static check abstained: %s" why
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Diagnostic.json_escape
 
 let to_json r =
   let b = Buffer.create 512 in

@@ -588,20 +588,7 @@ let diagnostics ?(degenerate_threshold = 0.9) ?(min_signals = 10) ?locked ~loc
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Diagnostic.json_escape
 
 let json_strings names =
   "[" ^ String.concat "," (List.map (fun n -> "\"" ^ json_escape n ^ "\"") names) ^ "]"

@@ -79,12 +79,13 @@ let fingerprint config =
 (* [memoize config ~stage ~params digest compute]: look the stage result
    up in the configured store (if any); on a miss compute and publish.
    Only successful computations are cached — a raise (SAT budget
-   exhausted, inconsistent graph) propagates without leaving an entry. *)
+   exhausted, inconsistent graph) propagates without leaving an entry.
+   The digest is forced only when a store is configured. *)
 let memoize config ~stage ~params digest compute =
   match config.cache with
   | None -> compute ()
   | Some store -> (
-    let key = Cache_key.entry ~stage ~params digest in
+    let key = Cache_key.entry ~stage ~params (Lazy.force digest) in
     match Cache_store.get store key with
     | Some v -> v
     | None ->
@@ -96,21 +97,19 @@ let memoize config ~stage ~params digest compute =
    depends on exactly (minimizer, width, onset, offset). *)
 let memo_cover_of config : Derive.cover_memo =
  fun ~minimizer ~width ~onset ~offset compute ->
-  match config.cache with
-  | None -> compute ()
-  | Some _ ->
-    let buf = Buffer.create 256 in
-    List.iter (fun m -> Buffer.add_string buf (string_of_int m ^ ",")) onset;
-    Buffer.add_char buf '/';
-    List.iter (fun m -> Buffer.add_string buf (string_of_int m ^ ",")) offset;
-    memoize config ~stage:"cover"
-      ~params:
-        [
-          ("minimizer", match minimizer with `Heuristic -> "h" | `Exact -> "e");
-          ("width", string_of_int width);
-        ]
-      (Cache_key.string_digest (Buffer.contents buf))
-      compute
+  memoize config ~stage:"cover"
+    ~params:
+      [
+        ("minimizer", match minimizer with `Heuristic -> "h" | `Exact -> "e");
+        ("width", string_of_int width);
+      ]
+    (lazy
+      (let buf = Buffer.create 256 in
+       List.iter (fun m -> Buffer.add_string buf (string_of_int m ^ ",")) onset;
+       Buffer.add_char buf '/';
+       List.iter (fun m -> Buffer.add_string buf (string_of_int m ^ ",")) offset;
+       Cache_key.string_digest (Buffer.contents buf)))
+    compute
 
 type formula_size = Csc_direct.formula_size = { vars : int; clauses : int }
 
@@ -182,64 +181,46 @@ let solve_module ~config ~fresh_name complete (inp : Input_derivation.t) =
   let output_name = Sg.signal_name complete inp.Input_derivation.output in
   let module_output = Sg.find_signal module_sg output_name in
   let baseline = sm_violations module_sg in
-  let compute () =
-    let report =
-      Modular_sat.solve ?backtrack_limit:config.backtrack_limit
-        ?time_limit:config.time_limit ~backend:config.backend
-        ~normalize:config.normalize_modules
-        ~accept:(fun solved -> sm_violations solved <= baseline)
-        ~output:module_output module_sg
-    in
-    match report.Modular_sat.outcome with
-    | Modular_sat.Gave_up reason -> Error reason
-    | Modular_sat.Solved { new_extras; _ } ->
-      Ok
-        {
-          sol_extras = new_extras;
-          sol_formulas = report.Modular_sat.formulas;
-          sol_elapsed = report.Modular_sat.elapsed;
-        }
+  (* A gave-up verdict depends on the budget and must be retried, never
+     replayed: it raises, so it never reaches the store. *)
+  let sol =
+    memoize config ~stage:"module-csc"
+      ~params:(("output", output_name) :: fingerprint config)
+      (lazy (Sg.digest module_sg))
+      (fun () ->
+        let report =
+          Modular_sat.solve ?backtrack_limit:config.backtrack_limit
+            ?time_limit:config.time_limit ~backend:config.backend
+            ~normalize:config.normalize_modules
+            ~accept:(fun solved -> sm_violations solved <= baseline)
+            ~output:module_output module_sg
+        in
+        match report.Modular_sat.outcome with
+        | Modular_sat.Gave_up reason ->
+          raise
+            (Synthesis_failed
+               (Printf.sprintf "module %s: SAT %s" output_name
+                  (match reason with
+                  | Dpll.Backtrack_limit -> "backtrack limit exceeded"
+                  | Dpll.Time_limit -> "time limit exceeded")))
+        | Modular_sat.Solved { new_extras; _ } ->
+          {
+            sol_extras = new_extras;
+            sol_formulas = report.Modular_sat.formulas;
+            sol_elapsed = report.Modular_sat.elapsed;
+          })
   in
-  (* Only solved modules are cached; a gave-up verdict depends on the
-     budget and must be retried, never replayed. *)
-  let solved =
-    match config.cache with
-    | None -> compute ()
-    | Some store -> (
-      let key =
-        Cache_key.entry ~stage:"module-csc"
-          ~params:(("output", output_name) :: fingerprint config)
-          (Sg.digest module_sg)
-      in
-      match Cache_store.get store key with
-      | Some sol -> Ok sol
-      | None -> (
-        match compute () with
-        | Ok sol ->
-          Cache_store.put store key sol;
-          Ok sol
-        | Error _ as e -> e))
-  in
-  match solved with
-  | Error reason ->
-    raise
-      (Synthesis_failed
-         (Printf.sprintf "module %s: SAT %s" output_name
-            (match reason with
-            | Dpll.Backtrack_limit -> "backtrack limit exceeded"
-            | Dpll.Time_limit -> "time limit exceeded")))
-  | Ok sol ->
-    let complete = ref complete in
-    let names = ref [] in
-    Array.iter
-      (fun (x : Sg.extra) ->
-        let name = fresh_name () in
-        names := name :: !names;
-        complete :=
-          Propagation.propagate !complete ~cover:inp.Input_derivation.cover
-            ~name ~values:x.Sg.values)
-      sol.sol_extras;
-    (!complete, List.rev !names, sol)
+  let complete = ref complete in
+  let names = ref [] in
+  Array.iter
+    (fun (x : Sg.extra) ->
+      let name = fresh_name () in
+      names := name :: !names;
+      complete :=
+        Propagation.propagate !complete ~cover:inp.Input_derivation.cover ~name
+          ~values:x.Sg.values)
+    sol.sol_extras;
+  (!complete, List.rev !names, sol)
 
 let module_report complete (inp : Input_derivation.t)
     (sat : module_solution option) ~conflicts ~new_signals =
@@ -657,7 +638,7 @@ let synthesize_sg_uncached ~config ~csc_certified complete =
 let synthesize_sg ?(config = default_config) ?(csc_certified = false) complete =
   memoize config ~stage:"synth-sg"
     ~params:(("certified", string_of_bool csc_certified) :: fingerprint config)
-    (Sg.digest complete)
+    (lazy (Sg.digest complete))
     (fun () -> synthesize_sg_uncached ~config ~csc_certified complete)
 
 (* The partial-order prescreen: a complete finite prefix of the STG's
@@ -669,7 +650,7 @@ let synthesize_sg ?(config = default_config) ?(csc_certified = false) complete =
 let prefix_summary ?(jobs = 1) config stg =
   memoize config ~stage:"prefix"
     ~params:[ ("max_events", string_of_int config.prefix_max_events) ]
-    (Cache_key.stg_digest stg)
+    (lazy (Cache_key.stg_digest stg))
     (fun () ->
       Prefix_rules.analyze ~jobs ~max_events:config.prefix_max_events stg)
 
@@ -734,7 +715,7 @@ let complete_of_stg config stg =
   let stage = match backend with `Symbolic -> "symbolic" | `Explicit -> "sg" in
   memoize config ~stage
     ~params:[ ("max_states", string_of_int config.max_states) ]
-    (Cache_key.stg_digest stg)
+    (lazy (Cache_key.stg_digest stg))
     (fun () -> Sg.of_stg ~max_states:config.max_states ~backend stg)
 
 (* The partition plan as a standalone artifact (`mpsyn lint
@@ -748,7 +729,7 @@ let partition_summary ?jobs config stg =
   let jobs = match jobs with Some j -> j | None -> config.jobs in
   memoize config ~stage:"plan"
     ~params:[ ("max_states", string_of_int config.max_states) ]
-    (Cache_key.stg_digest stg)
+    (lazy (Cache_key.stg_digest stg))
     (fun () ->
       let complete = complete_of_stg config stg in
       Pool.map_list ~jobs
@@ -762,7 +743,7 @@ let synthesize ?(config = default_config) stg =
   (* The top-level entry elides even the reachability exploration and
      the structural prescreen on a warm run. *)
   memoize config ~stage:"synth" ~params:(fingerprint config)
-    (Cache_key.stg_digest stg)
+    (lazy (Cache_key.stg_digest stg))
     (fun () ->
       let prefix = lazy_prefix config stg in
       let csc_certified = certificate_of config stg prefix <> `None in
