@@ -100,20 +100,28 @@ let load_stg_spans path_or_name =
 
 let load_stg path_or_name = fst (load_stg_spans path_or_name)
 
-(* Fail-fast pre-pass for synthesis: reject structurally broken STGs
-   (rules A1–A5), loaded from [name], before any state graph is built. *)
-let lint_gate ~skip name (stg, map) =
-  if not skip then begin
+(* Fail-fast pre-pass for every command that synthesizes: reject
+   structurally broken STGs (rules A1–A5), loaded from [name], before
+   any state graph is built.  [skip] is the [--no-lint] flag of the
+   commands that have one. *)
+let lint_gate ?skip name (stg, map) =
+  if skip <> Some true then begin
     let { Lint.report; _ } = Lint.run ?map stg in
     if not (Diagnostic.clean report) then begin
       Format.eprintf "%a" Diagnostic.pp report;
       Format.eprintf
         "mpsyn: %s rejected by static analysis (run `mpsyn lint %s` for \
-         details, or pass --no-lint to force)@."
-        (Stg.name stg) name;
+         details%s)@."
+        (Stg.name stg) name
+        (if skip = None then "" else ", or pass --no-lint to force");
       exit exit_lint
     end
   end
+
+let load_linted name =
+  let spec = load_stg_spans name in
+  lint_gate name spec;
+  fst spec
 
 let no_lint_arg =
   let doc = "Skip the static-analysis pre-pass (rules A1-A5)." in
@@ -330,8 +338,7 @@ let lint_cmd =
         (fun (name, (stg, map)) ->
           let config = { Mpart.default_config with jobs; cache } in
           (* one prefix per specification, shared by the U-rules, the A5
-             exact oracle and the H2 prune — and, through the cache, by
-             any later synth/verify run on the same .g text *)
+             exact oracle and the H2 prune *)
           let psum =
             if prefix then Some (Mpart.prefix_summary ~jobs:1 config stg)
             else None
@@ -489,19 +496,8 @@ let print_functions fs =
   List.iter (fun f -> Format.printf "  %a@." Derive.pp_func f) fs
 
 let synth_cmd =
-  let symbolic_arg =
-    let doc =
-      "Force the partitioned-transition-relation BDD engine for \
-       reachability (the complete state graph every module projects \
-       from).  Without it the engine is chosen automatically from the \
-       exact U4 prefix state bound.  Either engine produces a \
-       byte-identical state graph, so this flag only changes how fast \
-       the graph is built."
-    in
-    Arg.(value & flag & info [ "symbolic" ] ~doc)
-  in
   let run stg_name method_ backtrack_limit time_limit hazard_free backend
-      symbolic celements no_lint jobs_opt cache_opt =
+      celements no_lint jobs_opt cache_opt =
     guard_budget @@ fun () ->
     let jobs = resolve_jobs jobs_opt in
     let cache = resolve_cache cache_opt in
@@ -516,7 +512,6 @@ let synth_cmd =
           time_limit;
           hazard_free;
           backend;
-          reach = (if symbolic then `Symbolic else `Auto);
           jobs;
           cache;
         }
@@ -588,13 +583,13 @@ let synth_cmd =
     (Cmd.info "synth" ~exits ~doc:"Synthesize a speed-independent circuit from an STG")
     Term.(
       const run $ stg_arg $ method_arg $ backtrack_arg $ time_arg $ hazard_arg
-      $ backend_arg $ symbolic_arg $ celements_arg $ no_lint_arg
+      $ backend_arg $ celements_arg $ no_lint_arg
       $ jobs_arg $ cache_arg)
 
 let bench_cmd =
   let run stg_name =
     guard_budget @@ fun () ->
-    let stg = load_stg stg_name in
+    let stg = load_linted stg_name in
     let sg = Sg.of_stg stg in
     Format.printf "%a@." Csc.pp_summary sg;
     let t0 = Sys.time () in
@@ -650,8 +645,7 @@ let gen_cmd =
     let doc =
       "Family: pipeline, pulsers, mixed, lockring, or parrings \
        (independent four-phase rings — CSC holds but the A6 lock \
-       relation abstains, so only the exact prefix prescreen certifies \
-       it)."
+       relation abstains)."
     in
     Arg.(
       required
@@ -694,7 +688,7 @@ let verilog_cmd =
   let run stg_name cache_opt =
     guard_budget @@ fun () ->
     let cache = resolve_cache cache_opt in
-    let stg = load_stg stg_name in
+    let stg = load_linted stg_name in
     let r = Mpart.synthesize ~config:{ Mpart.default_config with cache } stg in
     (match Mpart.verify r with
     | None -> ()
@@ -756,7 +750,7 @@ let verify_cmd =
     let cache = resolve_cache cache_opt in
     let failures = ref 0 and synthesis_failures = ref 0 in
     let verify_one name =
-      let stg = load_stg name in
+      let stg = load_linted name in
       let config =
         {
           Mpart.default_config with

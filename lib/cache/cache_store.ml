@@ -181,6 +181,21 @@ let put t key v =
        cache that cannot persist silently stops accelerating. *)
     Log.warn (fun m -> m "cache write for %s failed (%s)" key (Printexc.to_string e))
 
+(* Only successful computations are cached: a raise propagates without
+   leaving an entry.  The digest is forced only when a store is
+   configured. *)
+let memoize store ~stage ~params digest compute =
+  match store with
+  | None -> compute ()
+  | Some t -> (
+    let key = Cache_key.entry ~stage ~params (Lazy.force digest) in
+    match get t key with
+    | Some v -> v
+    | None ->
+      let v = compute () in
+      put t key v;
+      v)
+
 let clear t =
   Array.iter
     (fun name ->

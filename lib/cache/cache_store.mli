@@ -65,6 +65,19 @@ val put : t -> string -> 'a -> unit
     I/O failures (full or read-only disk) are logged and ignored: the
     cache is an accelerator, never a correctness dependency. *)
 
+val memoize :
+  t option ->
+  stage:string ->
+  params:(string * string) list ->
+  string Lazy.t ->
+  (unit -> 'a) ->
+  'a
+(** [memoize store ~stage ~params digest compute] looks up the entry
+    keyed by {!Cache_key.entry}[ ~stage ~params digest]; on a miss it
+    computes and publishes the value.  Without a store it only computes,
+    and [digest] is never forced.  A [compute] that raises leaves no
+    entry, so failures are never cached. *)
+
 val clear : t -> unit
 (** Remove every entry of the current schema version. *)
 

@@ -47,11 +47,9 @@ let default_config =
 
 (* Everything a cached result depends on besides the content digest.
    [jobs] is deliberately absent: results are bit-identical for any
-   pool width, so entries are shared across --jobs settings.  [reach]
-   and [symbolic_threshold] are absent for the same reason — the
-   symbolic engine reproduces the explicit graph byte for byte (tested
-   on every benchmark), so which engine explored is as irrelevant to a
-   cached artifact as how many domains derived it. *)
+   pool width, so entries are shared across --jobs settings.  The
+   fields synthesis ignores ([prescreen], [prefix_prescreen], [reach],
+   [symbolic_threshold]) and the prefix's event cap are absent too. *)
 let fingerprint config =
   [
     ( "backend",
@@ -60,9 +58,6 @@ let fingerprint config =
     ("normalize", string_of_bool config.normalize_modules);
     ("exact_covers", string_of_bool config.exact_covers);
     ("hazard_free", string_of_bool config.hazard_free);
-    ("prescreen", string_of_bool config.prescreen);
-    ("prefix_prescreen", string_of_bool config.prefix_prescreen);
-    ("prefix_max_events", string_of_int config.prefix_max_events);
     ("dedup_cones", string_of_bool config.dedup_cones);
     ("order_by_risk", string_of_bool config.order_by_risk);
     ("max_states", string_of_int config.max_states);
@@ -76,28 +71,11 @@ let fingerprint config =
       | Some t -> Printf.sprintf "%.6f" t );
   ]
 
-(* [memoize config ~stage ~params digest compute]: look the stage result
-   up in the configured store (if any); on a miss compute and publish.
-   Only successful computations are cached — a raise (SAT budget
-   exhausted, inconsistent graph) propagates without leaving an entry.
-   The digest is forced only when a store is configured. *)
-let memoize config ~stage ~params digest compute =
-  match config.cache with
-  | None -> compute ()
-  | Some store -> (
-    let key = Cache_key.entry ~stage ~params (Lazy.force digest) in
-    match Cache_store.get store key with
-    | Some v -> v
-    | None ->
-      let v = compute () in
-      Cache_store.put store key v;
-      v)
-
 (* Cover minimization memo ({!Derive.cover_memo}): the minimized cover
    depends on exactly (minimizer, width, onset, offset). *)
 let memo_cover_of config : Derive.cover_memo =
  fun ~minimizer ~width ~onset ~offset compute ->
-  memoize config ~stage:"cover"
+  Cache_store.memoize config.cache ~stage:"cover"
     ~params:
       [
         ("minimizer", match minimizer with `Heuristic -> "h" | `Exact -> "e");
@@ -174,6 +152,40 @@ type module_solution = {
   sol_elapsed : float;
 }
 
+(* Attach each labeling in [values] to [sg] through [attach], in order,
+   under a [fresh_name]; returns the graph and the new names.  The
+   naming order is what makes netlists reproducible. *)
+let attach_fresh ~fresh_name attach sg values =
+  let sg, names =
+    List.fold_left
+      (fun (sg, names) values ->
+        let name = fresh_name () in
+        (attach sg ~name ~values, name :: names))
+      (sg, []) values
+  in
+  (sg, List.rev names)
+
+let values_of extras =
+  Array.to_list (Array.map (fun (x : Sg.extra) -> x.Sg.values) extras)
+
+(* A bounded direct pass over the whole of [sg]: resolve [pairs] and
+   attach the new state signals; [failure] is the message when the SAT
+   budget runs out.  Returns the labeled graph, the new names and the
+   solver report. *)
+let solve_globally ~config ~fresh_name ~accept ~failure sg pairs =
+  let r =
+    Modular_sat.solve_pairs ?backtrack_limit:config.backtrack_limit
+      ?time_limit:config.time_limit ~backend:config.backend ~accept
+      ~resolve:pairs sg
+  in
+  match r.Modular_sat.outcome with
+  | Modular_sat.Gave_up _ -> raise (Synthesis_failed failure)
+  | Modular_sat.Solved { new_extras; _ } ->
+    let sg, names =
+      attach_fresh ~fresh_name Sg.add_extra sg (values_of new_extras)
+    in
+    (sg, names, r)
+
 (* Solve one modular graph and propagate the new signals back.  Returns
    the updated complete graph, the new signal names, and SAT metrics. *)
 let solve_module ~config ~fresh_name complete (inp : Input_derivation.t) =
@@ -184,7 +196,7 @@ let solve_module ~config ~fresh_name complete (inp : Input_derivation.t) =
   (* A gave-up verdict depends on the budget and must be retried, never
      replayed: it raises, so it never reaches the store. *)
   let sol =
-    memoize config ~stage:"module-csc"
+    Cache_store.memoize config.cache ~stage:"module-csc"
       ~params:(("output", output_name) :: fingerprint config)
       (lazy (Sg.digest module_sg))
       (fun () ->
@@ -210,17 +222,12 @@ let solve_module ~config ~fresh_name complete (inp : Input_derivation.t) =
             sol_elapsed = report.Modular_sat.elapsed;
           })
   in
-  let complete = ref complete in
-  let names = ref [] in
-  Array.iter
-    (fun (x : Sg.extra) ->
-      let name = fresh_name () in
-      names := name :: !names;
-      complete :=
-        Propagation.propagate !complete ~cover:inp.Input_derivation.cover ~name
-          ~values:x.Sg.values)
-    sol.sol_extras;
-  (!complete, List.rev !names, sol)
+  let complete, names =
+    attach_fresh ~fresh_name
+      (Propagation.propagate ~cover:inp.Input_derivation.cover)
+      complete (values_of sol.sol_extras)
+  in
+  (complete, names, sol)
 
 let module_report complete (inp : Input_derivation.t)
     (sat : module_solution option) ~conflicts ~new_signals =
@@ -235,6 +242,22 @@ let module_report complete (inp : Input_derivation.t)
     new_signals;
     formulas = (match sat with None -> [] | Some s -> s.sol_formulas);
     sat_elapsed = (match sat with None -> 0.0 | Some s -> s.sol_elapsed);
+  }
+
+(* The report of a whole-graph pass ([solve_globally]) on [sg]. *)
+let global_report output_name sg ~conflicts ~new_signals
+    (r : Modular_sat.report) =
+  {
+    output_name;
+    input_set = [];
+    immediate = [];
+    kept_extras = [];
+    module_states = Sg.n_states sg;
+    module_edges = Sg.n_edges sg;
+    module_conflicts = conflicts;
+    new_signals;
+    formulas = r.Modular_sat.formulas;
+    sat_elapsed = r.Modular_sat.elapsed;
   }
 
 (* A derived module, described for the partition auditor against the
@@ -254,12 +277,11 @@ let outputs_of complete =
   List.filter (Sg.non_input complete) (List.init (Sg.n_signals complete) Fun.id)
 
 (* Derive output [o]'s module from [g] (ε-projection onto its input set)
-   and count the module's CSC conflicts.  A static CSC certificate
-   (lock-relation prescreen, rule A6, or the prefix rule U3) guarantees
-   the complete graph is conflict-free, so the module quotients need no
-   state signals: [csc_certified] skips conflict counting and the SAT
-   engine outright.  Artifact conflicts a quotient would show are
-   exactly the pairs the certificate proves spurious. *)
+   and count the module's CSC conflicts.  When the complete graph is
+   conflict-free the module quotients need no state signals:
+   [csc_certified] skips conflict counting and the SAT engine outright.
+   Artifact conflicts a quotient would show are exactly the pairs the
+   complete graph proves spurious. *)
 let analyze ~csc_certified g o =
   Log.debug (fun m -> m "deriving module for output %s" (Sg.signal_name g o));
   let inp = Input_derivation.determine g ~output:o in
@@ -377,20 +399,13 @@ let synthesize_sg_uncached ~config ~csc_certified complete =
         | None -> solve_fresh ~digest_perm:(digest, perm) ()
         | Some canon -> (
           match
-            let acc = ref !current in
-            let names = ref [] in
-            List.iter
-              (fun (vc : Fourval.t array) ->
-                let name = fresh_name () in
-                names := name :: !names;
-                let values =
-                  Array.init (Sg.n_states module_sg) (fun t -> vc.(perm.(t)))
-                in
-                acc :=
-                  Propagation.propagate !acc
-                    ~cover:inp.Input_derivation.cover ~name ~values)
-              canon;
-            (!acc, List.rev !names)
+            attach_fresh ~fresh_name
+              (Propagation.propagate ~cover:inp.Input_derivation.cover)
+              !current
+              (List.map
+                 (fun (vc : Fourval.t array) ->
+                   Array.init (Sg.n_states module_sg) (fun t -> vc.(perm.(t))))
+                 canon)
           with
           | updated, names ->
             Log.debug (fun m ->
@@ -437,39 +452,17 @@ let synthesize_sg_uncached ~config ~csc_certified complete =
   if not (Csc.csc_satisfied !current) then begin
     let remaining = Csc.conflict_pairs !current in
     let baseline = sm_violations !current in
-    let r =
-      Modular_sat.solve_pairs ?backtrack_limit:config.backtrack_limit
-        ?time_limit:config.time_limit ~backend:config.backend
+    let solved, names, r =
+      solve_globally ~config ~fresh_name
         ~accept:(fun solved -> sm_violations solved <= baseline)
-        ~resolve:remaining !current
+        ~failure:"global cleanup pass exhausted its SAT budget" !current
+        remaining
     in
-    match r.Modular_sat.outcome with
-    | Modular_sat.Gave_up _ ->
-      raise (Synthesis_failed "global cleanup pass exhausted its SAT budget")
-    | Modular_sat.Solved { new_extras; _ } ->
-      let acc = ref !current in
-      let names = ref [] in
-      Array.iter
-        (fun (x : Sg.extra) ->
-          let name = fresh_name () in
-          names := name :: !names;
-          acc := Sg.add_extra !acc ~name ~values:x.Sg.values)
-        new_extras;
-      current := !acc;
-      fallback :=
-        Some
-          {
-            output_name = "<global>";
-            input_set = [];
-            immediate = [];
-            kept_extras = [];
-            module_states = Sg.n_states !current;
-            module_edges = Sg.n_edges !current;
-            module_conflicts = List.length remaining;
-            new_signals = List.rev !names;
-            formulas = r.Modular_sat.formulas;
-            sat_elapsed = r.Modular_sat.elapsed;
-          }
+    current := solved;
+    fallback :=
+      Some
+        (global_report "<global>" solved
+           ~conflicts:(List.length remaining) ~new_signals:names r)
   end;
   (* All conflicts are resolved; serialize the inserted transitions so
      that expansion splits as few states as possible.  A labeling that
@@ -516,28 +509,18 @@ let synthesize_sg_uncached ~config ~csc_certified complete =
       raise (Synthesis_failed "expansion repair did not converge")
     else begin
       let baseline = sm_violations expanded in
-      let r =
-        Modular_sat.solve_pairs ?backtrack_limit:config.backtrack_limit
-          ?time_limit:config.time_limit ~backend:config.backend
+      let solved, _, _ =
+        solve_globally ~config ~fresh_name
           ~accept:(fun solved -> sm_violations solved <= baseline)
-          ~resolve:(Csc.conflict_pairs expanded) expanded
+          ~failure:"expansion repair exhausted its SAT budget" expanded
+          (Csc.conflict_pairs expanded)
       in
-      match r.Modular_sat.outcome with
-      | Modular_sat.Gave_up _ ->
-        raise (Synthesis_failed "expansion repair exhausted its SAT budget")
-      | Modular_sat.Solved { new_extras; _ } ->
-        let acc = ref expanded in
-        Array.iter
-          (fun (x : Sg.extra) ->
-            acc := Sg.add_extra !acc ~name:(fresh_name ()) ~values:x.Sg.values)
-          new_extras;
-        let solved = !acc in
-        check_width solved;
-        let solved' =
-          let m = Region_minimize.minimize solved in
-          if Sg_expand.csc_satisfied m then m else solved
-        in
-        repair (expand solved') (round + 1)
+      check_width solved;
+      let solved' =
+        let m = Region_minimize.minimize solved in
+        if Sg_expand.csc_satisfied m then m else solved
+      in
+      repair (expand solved') (round + 1)
     end
   in
   let expanded = repair (expand final) 0 in
@@ -553,42 +536,19 @@ let synthesize_sg_uncached ~config ~csc_certified complete =
     else begin
       Log.debug (fun m ->
           m "modular composition lost semi-modularity; global re-insertion");
-      let r =
-        Modular_sat.solve_pairs ?backtrack_limit:config.backtrack_limit
-          ?time_limit:config.time_limit ~backend:config.backend
-          ~accept:implementable
-          ~resolve:(Csc.conflict_pairs complete) complete
+      let pairs = Csc.conflict_pairs complete in
+      let solved, names, r =
+        solve_globally ~config ~fresh_name ~accept:implementable
+          ~failure:
+            "no semi-modular state-signal insertion within the SAT budget"
+          complete pairs
       in
-      match r.Modular_sat.outcome with
-      | Modular_sat.Gave_up _ ->
-        raise
-          (Synthesis_failed
-             "no semi-modular state-signal insertion within the SAT budget")
-      | Modular_sat.Solved { new_extras; _ } ->
-        Hashtbl.reset supports;
-        let acc = ref complete in
-        let names = ref [] in
-        Array.iter
-          (fun (x : Sg.extra) ->
-            let name = fresh_name () in
-            names := name :: !names;
-            acc := Sg.add_extra !acc ~name ~values:x.Sg.values)
-          new_extras;
-        fallback :=
-          Some
-            {
-              output_name = "<global redo>";
-              input_set = [];
-              immediate = [];
-              kept_extras = [];
-              module_states = Sg.n_states !acc;
-              module_edges = Sg.n_edges !acc;
-              module_conflicts = List.length (Csc.conflict_pairs complete);
-              new_signals = List.rev !names;
-              formulas = r.Modular_sat.formulas;
-              sat_elapsed = r.Modular_sat.elapsed;
-            };
-        expand (minimize_safely !acc)
+      Hashtbl.reset supports;
+      fallback :=
+        Some
+          (global_report "<global redo>" solved
+             ~conflicts:(List.length pairs) ~new_signals:names r);
+      expand (minimize_safely solved)
     end
   in
   (* Logic derivation: outputs over their module supports; inserted state
@@ -636,87 +596,29 @@ let synthesize_sg_uncached ~config ~csc_certified complete =
    modular projections, CSC solutions, propagated expansions, and
    minimized covers. *)
 let synthesize_sg ?(config = default_config) ?(csc_certified = false) complete =
-  memoize config ~stage:"synth-sg"
+  Cache_store.memoize config.cache ~stage:"synth-sg"
     ~params:(("certified", string_of_bool csc_certified) :: fingerprint config)
     (lazy (Sg.digest complete))
     (fun () -> synthesize_sg_uncached ~config ~csc_certified complete)
 
-(* The partial-order prescreen: a complete finite prefix of the STG's
-   unfolding, with the exact U1-U4 verdicts computed on it.  The summary
-   is plain data (no timings, no machine state) and deterministic for
-   any pool width, so it is cached by the specification digest alone —
-   shared across --jobs settings and across lint/synth/verify, which all
-   consult the same entry. *)
+(* The complete finite prefix of the STG's unfolding with the exact
+   U1-U4 verdicts, for [mpsyn lint --prefix].  The summary is plain data
+   (no timings, no machine state) and deterministic for any pool width,
+   so it is cached by the specification digest and the event cap. *)
 let prefix_summary ?(jobs = 1) config stg =
-  memoize config ~stage:"prefix"
+  Cache_store.memoize config.cache ~stage:"prefix"
     ~params:[ ("max_events", string_of_int config.prefix_max_events) ]
     (lazy (Cache_key.stg_digest stg))
     (fun () ->
       Prefix_rules.analyze ~jobs ~max_events:config.prefix_max_events stg)
 
-(* One synthesis consults the prefix for up to two decisions — the
-   certificate and the reachability engine — so it builds it lazily, at
-   most once per call, and hands the same value to both. *)
-let lazy_prefix config stg = lazy (prefix_summary ~jobs:config.jobs config stg)
-
-(* CSC prescreens, cheapest first.  A6 (lock relations) is purely
-   structural; when it abstains, the exact U3 verdict from the complete
-   prefix certifies conflict-freedom on nets A6's sufficient condition
-   misses (e.g. USC fails but CSC holds).  The dynamic
-   [Csc.csc_satisfied] checks downstream stay in place as a safety net,
-   so an over-eager certificate degrades to a normal run rather than a
-   wrong circuit. *)
-let certificate_of config stg prefix =
-  if not config.prescreen then `None
-  else if Lint.prescreen stg <> None then `Lockrel
-  else if
-    config.prefix_prescreen && (Lazy.force prefix).Prefix_rules.s_csc = Some true
-  then `Prefix
-  else `None
-
-let certificate_source config stg =
-  certificate_of config stg (lazy_prefix config stg)
-
-(* U4-driven choice of the reachability engine: when the exact state
-   bound of the prefix sweep (the U4 marking count when the sweep
-   finished, otherwise the marking lower bound) says the explicit sweep
-   will enumerate a large state space, [`Auto] switches to the
-   partitioned-transition-relation BDD engine (whose graph is
-   byte-identical).  An explicit [`Explicit]/[`Symbolic] choice — the
-   --symbolic flag — is never overridden, and without the prefix
-   prescreen there is no bound to consult, so [`Auto] stays on the
-   explicit sweep. *)
-let auto_reach config prefix =
-  match config.reach with
-  | `Auto when config.prefix_prescreen -> (
-    let p : Prefix_rules.summary = Lazy.force prefix in
-    let bound =
-      match p.Prefix_rules.s_sg_states with
-      | Some _ as b -> b
-      | None -> p.Prefix_rules.s_markings
-    in
-    match bound with
-    | Some n when n >= config.symbolic_threshold ->
-      { config with reach = `Symbolic }
-    | _ -> config)
-  | _ -> config
-
 (* Reachability exploration + consistent state assignment, keyed by the
-   canonical [.g] digest of the specification.  The stage name records
-   which engine explored ("sg" = explicit sweep, "symbolic" = BDD
-   fixpoint); both produce the same bytes, so every downstream stage is
-   keyed off the resulting graph's digest and shared between them. *)
+   canonical [.g] digest of the specification. *)
 let complete_of_stg config stg =
-  let backend =
-    match config.reach with
-    | `Symbolic -> `Symbolic
-    | `Auto | `Explicit -> `Explicit
-  in
-  let stage = match backend with `Symbolic -> "symbolic" | `Explicit -> "sg" in
-  memoize config ~stage
+  Cache_store.memoize config.cache ~stage:"sg"
     ~params:[ ("max_states", string_of_int config.max_states) ]
     (lazy (Cache_key.stg_digest stg))
-    (fun () -> Sg.of_stg ~max_states:config.max_states ~backend stg)
+    (fun () -> Sg.of_stg ~max_states:config.max_states stg)
 
 (* The partition plan as a standalone artifact (`mpsyn lint
    --partition`): every output's cone derived against the complete
@@ -727,7 +629,7 @@ let complete_of_stg config stg =
    the STG digest alone. *)
 let partition_summary ?jobs config stg =
   let jobs = match jobs with Some j -> j | None -> config.jobs in
-  memoize config ~stage:"plan"
+  Cache_store.memoize config.cache ~stage:"plan"
     ~params:[ ("max_states", string_of_int config.max_states) ]
     (lazy (Cache_key.stg_digest stg))
     (fun () ->
@@ -740,15 +642,15 @@ let partition_summary ?jobs config stg =
       |> Partition_check.summarize ~complete)
 
 let synthesize ?(config = default_config) stg =
-  (* The top-level entry elides even the reachability exploration and
-     the structural prescreen on a warm run. *)
-  memoize config ~stage:"synth" ~params:(fingerprint config)
+  (* The top-level entry elides even the reachability exploration on a
+     warm run. *)
+  Cache_store.memoize config.cache ~stage:"synth" ~params:(fingerprint config)
     (lazy (Cache_key.stg_digest stg))
     (fun () ->
-      let prefix = lazy_prefix config stg in
-      let csc_certified = certificate_of config stg prefix <> `None in
-      let complete = complete_of_stg (auto_reach config prefix) stg in
-      synthesize_sg ~config ~csc_certified complete)
+      let complete = complete_of_stg config stg in
+      synthesize_sg ~config
+        ~csc_certified:(Csc.csc_satisfied complete)
+        complete)
 
 let initial_states r = Sg.n_states r.complete
 let initial_signals r = Sg.n_signals r.complete
@@ -773,7 +675,7 @@ let pp_report ppf r =
     (area_literals r) r.elapsed;
   if r.csc_certified then
     Format.fprintf ppf
-      "  CSC certified statically (lock relation); SAT skipped@,";
+      "  CSC holds on the complete graph; SAT skipped@,";
   List.iter
     (fun m ->
       Format.fprintf ppf "  %s: |Is|=%d, %d module states, %d conflicts%s@,"

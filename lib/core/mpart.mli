@@ -1,7 +1,10 @@
 (** Modular partitioning synthesis of asynchronous circuits — the paper's
     contribution, algorithm [modular_synthesis] (Figure 6).
 
-    For every output signal of the STG:
+    The flow builds the complete state graph Σ once (explicit
+    reachability) and checks CSC on it.  When CSC already holds, no
+    module needs a state signal, so conflict counting and SAT are
+    skipped.  Otherwise, for every output signal of the STG:
     + derive its input signal set and modular state graph
       ({!Input_derivation}, Figure 2);
     + resolve the modular graph's CSC conflicts with a small SAT formula,
@@ -33,34 +36,21 @@ type config = {
       (** minimize covers with {!Exact} instead of {!Espresso}
           (default false; exact falls back to the heuristic on caps) *)
   prescreen : bool;
-      (** run the structural lock-relation CSC prescreen (lint rule A6)
-          before building state graphs; a certificate lets the whole
-          SAT pipeline be skipped (default true) *)
+      (** ignored by synthesis; read only by [mpbench/replay.ml];
+          removed with ROADMAP item 4 *)
   prefix_prescreen : bool;
-      (** when A6 abstains, fall back to the exact partial-order
-          prescreen: build a complete finite prefix of the unfolding
-          and accept rule U3's conflict-free verdict as a CSC
-          certificate; also lets an [`Auto] [reach] pick the reachability
-          engine from the exact U4 state bound (default true) *)
+      (** ignored by synthesis; read only by [mpbench/replay.ml];
+          removed with ROADMAP item 4 *)
   prefix_max_events : int;
-      (** event cap for the prefix construction; past it the prefix
-          rules abstain and synthesis proceeds as if unscreened
+      (** event cap for the unfolding prefix behind {!prefix_summary}
+          ([mpsyn lint --prefix]); past it the prefix rules abstain
           (default 2048) *)
   reach : [ `Auto | `Explicit | `Symbolic ];
-      (** reachability engine for the complete state graph every module
-          projects from: the explicit marking sweep ([Reach.explore])
-          or the partitioned-transition-relation BDD fixpoint
-          ({!Symbolic}), which produces a byte-identical graph.
-          [`Auto] (the default) consults the exact U4 prefix bound and
-          switches to the symbolic engine when the bound reaches
-          [symbolic_threshold]; an explicit choice (the [--symbolic]
-          flag) is never overridden.  Nets outside the symbolic
-          encoding fall back to the explicit sweep internally, so the
-          setting never changes any result, only how fast the graph is
-          built. *)
+      (** ignored by synthesis; read only by [mpbench/replay.ml];
+          removed with ROADMAP item 4 *)
   symbolic_threshold : int;
-      (** U4 state bound at which [`Auto] switches the reachability
-          engine to the symbolic fixpoint (default 2048) *)
+      (** ignored by synthesis; read only by [mpbench/replay.ml];
+          removed with ROADMAP item 4 *)
   dedup_cones : bool;
       (** solve each distinct module cone once: when two outputs'
           modules have the same canonical cone digest (rule M3 — the
@@ -86,7 +76,7 @@ type config = {
           stages (default [None]: no caching).  Keys combine the
           canonical [.g] digest of the specification (or the content
           digest of the derived graph) with a fingerprint of every
-          jobs-invariant option above, so a cached entry is only ever
+          option above that can change a result, so a cached entry is only ever
           replayed for a run that would have recomputed it bit for bit.
           Cached stages: the complete state graph (reachability +
           consistent assignment), per-output modular CSC solutions
@@ -124,8 +114,8 @@ type result = {
   fallback : module_report option;
       (** the final direct pass, when modules left conflicts behind *)
   csc_certified : bool;
-      (** the lock-relation prescreen proved CSC statically, so no
-          module invoked a solver *)
+      (** CSC holds on [complete] ({!Csc.csc_satisfied}), so no module
+          invoked a solver *)
   plan : Partition_check.summary;
       (** the audited partition plan the run consumed (conflict counts
           are zero when [csc_certified]) *)
@@ -149,17 +139,16 @@ val synthesize : ?config:config -> Stg.t -> result
 
 (** [synthesize_sg ?config ?csc_certified sg] is the same flow starting
     from an already-derived complete state graph (used by baselines and
-    tests).  [csc_certified] asserts a static CSC certificate for [sg]
-    (the caller ran the prescreen); modules then skip conflict analysis
-    and SAT. *)
+    tests).  [csc_certified] asserts that [sg] satisfies CSC; modules
+    then skip conflict analysis and SAT. *)
 val synthesize_sg : ?config:config -> ?csc_certified:bool -> Sg.t -> result
 
 (** [prefix_summary ?jobs config stg] is the memoized partial-order
     analysis of [stg] ({!Prefix_rules.analyze} with
-    [config.prefix_max_events]): the entry is keyed by the canonical
-    [.g] digest and the event cap only — the summary is deterministic
-    for any pool width and carries no timings, so lint, synthesis and
-    verification all share one cached prefix per specification. *)
+    [config.prefix_max_events]) behind [mpsyn lint --prefix]: the entry
+    is keyed by the canonical [.g] digest and the event cap only — the
+    summary is deterministic for any pool width and carries no
+    timings. *)
 val prefix_summary : ?jobs:int -> config -> Stg.t -> Prefix_rules.summary
 
 (** [partition_summary ?jobs config stg] is the memoized partition plan
@@ -170,13 +159,6 @@ val prefix_summary : ?jobs:int -> config -> Stg.t -> Prefix_rules.summary
     cap only, so any pool width and any lint/synth caller share one
     cached plan per specification ([jobs] defaults to [config.jobs]). *)
 val partition_summary : ?jobs:int -> config -> Stg.t -> Partition_check.summary
-
-(** [certificate_source config stg] says which prescreen certified CSC:
-    the structural A6 lock relation, the exact prefix rule U3 (tried
-    only when A6 abstains and [config.prefix_prescreen]), or neither.
-    [`Prefix] is what lets nets whose USC fails but CSC holds skip the
-    SAT pipeline — A6's sufficient condition cannot see those. *)
-val certificate_source : config -> Stg.t -> [ `Lockrel | `Prefix | `None ]
 
 (** {1 Result accessors (Table 1 columns)} *)
 

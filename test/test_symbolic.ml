@@ -145,29 +145,19 @@ let test_adjacency_no_allocation () =
   let after = Gc.allocated_bytes () in
   check "no per-call allocation" true (after -. before < 1024.0)
 
-(* ---------------- Auto engine selection in Mpart ---------------- *)
+(* ---------------- Synthesis stays on the explicit engine ------------ *)
 
-(* parallel_rings 5 has 3126 states: its exact U4 prefix bound crosses
-   the default [symbolic_threshold], so a plain [synthesize] must take
-   the BDD path — counter-proven, like the backend flip it mirrors —
-   while an explicit [`Explicit] choice is never overridden. *)
-let test_auto_reach () =
+(* parallel_rings 5 has 3126 states.  Synthesis builds its complete
+   graph with the explicit sweep whatever the net's size, so the
+   symbolic engine's counter stays frozen. *)
+let test_synthesis_explicit () =
   let stg = Bench_gen.parallel_rings ~rings:5 in
   let before = Symbolic_calls.total () in
   let r = Mpart.synthesize stg in
-  check "auto picked the symbolic engine" true
-    (Symbolic_calls.total () > before);
-  check "verifies" true (Mpart.verify r = None);
-  let before = Symbolic_calls.total () in
-  let _ =
-    Mpart.synthesize
-      ~config:{ Mpart.default_config with reach = `Explicit }
-      stg
-  in
-  check_int "explicit choice is never overridden" before
-    (Symbolic_calls.total ())
+  check_int "no symbolic exploration" before (Symbolic_calls.total ());
+  check "verifies" true (Mpart.verify r = None)
 
-(* ---------------- CLI: exit code 6, --symbolic flag ---------------- *)
+(* ---------------- CLI: exit code 6 ---------------- *)
 
 let mpsyn = Filename.concat ".." (Filename.concat "bin" "mpsyn.exe")
 
@@ -208,19 +198,6 @@ let test_cli_budget_exit () =
   check "message names the exhausted budget" true
     (mem_sub stderr "state budget exhausted" && mem_sub stderr "100000")
 
-(* --symbolic forces the BDD engine; the synthesized result must verify
-   exactly as the default engine's does (the graphs are byte-identical,
-   so everything downstream is too). *)
-let test_cli_symbolic_flag () =
-  let file = Filename.concat data_dir "alex-nonfc.g" in
-  let before = Symbolic_calls.total () in
-  let code, stdout, _ = run_cli (Printf.sprintf "synth --symbolic %s" file) in
-  check_int "synth --symbolic exits 0" 0 code;
-  check "verification ok" true (mem_sub stdout "verification: ok");
-  (* the flag lives in the child process; the parent counter must not
-     move — guards against the test silently measuring nothing *)
-  check_int "parent counter untouched" before (Symbolic_calls.total ())
-
 let () =
   let benchmark_cases =
     List.map
@@ -249,13 +226,14 @@ let () =
       ( "adjacency",
         [ Alcotest.test_case "no per-call allocation" `Quick
             test_adjacency_no_allocation ] );
-      ( "auto",
-        [ Alcotest.test_case "U4 bound flips the engine" `Quick test_auto_reach ]
-      );
+      ( "engine",
+        [
+          Alcotest.test_case "synthesis stays explicit" `Quick
+            test_synthesis_explicit;
+        ] );
       ( "cli",
         [
           Alcotest.test_case "budget exhaustion exits 6" `Quick
             test_cli_budget_exit;
-          Alcotest.test_case "--symbolic flag" `Quick test_cli_symbolic_flag;
         ] );
     ]

@@ -180,17 +180,16 @@ let test_no_reach_calls () =
 
 (* Parallel rings: CSC holds but cross-ring pairs never alternate, so
    the A6 lock relation abstains — only the exact U3 verdict certifies
-   the family, and certified synthesis provably never calls a solver. *)
+   the family, and synthesis, which finds CSC on the complete graph,
+   provably never calls a solver. *)
 let test_parallel_rings_prescreen rings () =
   let stg = Bench_gen.parallel_rings ~rings in
   check (Lint.prescreen stg = None) "A6 abstains on parallel rings";
-  let cfg = Mpart.default_config in
-  (match Mpart.certificate_source cfg stg with
-  | `Prefix -> ()
-  | `Lockrel -> Alcotest.fail "A6 certified a family it cannot see"
-  | `None -> Alcotest.fail "U3 failed to certify parallel rings");
+  Alcotest.(check (option bool))
+    "U3 certifies parallel rings" (Some true)
+    (Prefix_rules.analyze stg).Prefix_rules.s_csc;
   Solver_calls.reset ();
-  let r = Mpart.synthesize ~config:cfg stg in
+  let r = Mpart.synthesize stg in
   check r.Mpart.csc_certified "synthesis saw the certificate";
   Alcotest.(check int) "zero solver calls" 0 (Solver_calls.total ());
   Alcotest.(check (option string)) "verified" None (Mpart.verify r);
@@ -200,6 +199,58 @@ let test_parallel_rings_prescreen rings () =
   check
     (Unfold.n_noncutoff u < Reach.n_states g)
     "prefix (non-cutoff events) smaller than the state graph"
+
+(* Synthesis certifies CSC on the complete graph it builds.  Wherever
+   the prefix finishes, that verdict must also equal the certificate the
+   static prescreens give — A6's lock relation, or else U3 — so the two
+   ways of deciding whether SAT runs cannot drift apart. *)
+let check_certificate name stg =
+  let r = Mpart.synthesize stg in
+  let csc = Csc.csc_satisfied r.Mpart.complete in
+  Alcotest.(check bool) (name ^ ": certified iff CSC holds") csc
+    r.Mpart.csc_certified;
+  match (Prefix_rules.analyze stg).Prefix_rules.s_csc with
+  | None -> ()
+  | Some u3 ->
+    Alcotest.(check bool) (name ^ ": agrees with A6 || U3") csc
+      (Lint.prescreen stg <> None || u3)
+
+let test_certificate_corpus () =
+  let data = Filename.concat ".." "data" in
+  Sys.readdir data |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".g")
+  |> List.sort compare
+  |> List.iter (fun f ->
+         check_certificate f (Gformat.parse_file (Filename.concat data f)))
+
+let test_certificate_families () =
+  List.iter
+    (fun (name, stg) -> check_certificate name stg)
+    (List.map
+       (fun n ->
+         (Printf.sprintf "lock_ring-%d" n, Bench_gen.lock_ring ~signals:n))
+       [ 3; 6; 10 ]
+    @ List.map
+        (fun n ->
+          (Printf.sprintf "parrings-%d" n, Bench_gen.parallel_rings ~rings:n))
+        [ 2; 3; 5 ]
+    @ List.map
+        (fun n ->
+          (Printf.sprintf "pipeline-%d" n, Bench_gen.pipeline ~stages:n))
+        [ 2; 4; 10 ]
+    @ List.map
+        (fun k ->
+          ( Printf.sprintf "pulsers-%d" k,
+            Bench_gen.concurrent_pulsers ~branches:k ))
+        [ 2; 3; 4 ])
+
+let test_certificate_fuzz () =
+  let rand = Qseed.state () in
+  for i = 1 to n_fuzz do
+    check_certificate
+      (Printf.sprintf "fuzz %d (QCHECK_SEED=%d)" i Qseed.seed)
+      (Bench_gen.random ~rand)
+  done
 
 let test_lockring_bound signals () =
   let stg = Bench_gen.lock_ring ~signals in
@@ -340,6 +391,15 @@ let () =
             (test_parallel_rings_prescreen 5);
           Alcotest.test_case "lock-ring8 prefix < states" `Quick
             (test_lockring_bound 8);
+        ] );
+      ( "csc certificate",
+        [
+          Alcotest.test_case "data/*.g" `Quick test_certificate_corpus;
+          Alcotest.test_case "generated families" `Quick
+            test_certificate_families;
+          Alcotest.test_case
+            (Printf.sprintf "%d random STGs" n_fuzz)
+            `Slow test_certificate_fuzz;
         ] );
       ( "refutations",
         [
