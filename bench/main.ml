@@ -10,7 +10,7 @@
      dune exec bench/main.exe -- modules         partition statistics (E5)
      dune exec bench/main.exe -- hazard          static H1-H5 vs dynamic (E9)
      dune exec bench/main.exe -- cache           cold vs warm cache (E10)
-     dune exec bench/main.exe -- prefix          prefix vs explicit graph (E11)
+     dune exec bench/main.exe -- prefix          U1-U4 vs explicit graph (E11)
      dune exec bench/main.exe -- solver          solver-core micro (E12)
      dune exec bench/main.exe -- partition       plan audit + dedup (E13)
      dune exec bench/main.exe -- symbolic        BDD vs explicit reachability (E14)
@@ -568,15 +568,16 @@ let cache_table () =
 (* Every suite benchmark plus the two generated families that motivate
    the engine: lock rings (A6-certified, prefix linear in the ring) and
    parallel rings (CSC holds but A6 abstains — only the exact U3
-   verdict certifies them, against exponentially many states).  The
-   table is also the CI agreement gate: any prefix verdict that
-   disagrees with the explicit ground truth fails the run. *)
+   verdict certifies them, against exponentially many states).  U1/U2
+   read the prefix; U3/U4 read one explicit exploration behind it, so
+   the analysis column includes that exploration.  The table is also
+   the CI agreement gate: any verdict that disagrees with an
+   independent explicit construction fails the run. *)
 let prefix_table () =
   print_endline
     "== E11: complete-prefix unfolding vs explicit state exploration ==";
-  Printf.printf "%-16s %8s %8s %7s %7s %10s %10s %7s %-6s %s\n" "STG" "states"
-    "edges" "events" "noncut" "prefix(s)" "explicit(s)" "ratio" "agree"
-    "prescreen";
+  Printf.printf "%-16s %8s %8s %7s %7s %10s %10s %-6s %s\n" "STG" "states"
+    "edges" "events" "noncut" "analyze(s)" "explicit(s)" "agree" "prescreen";
   let failures = ref 0 in
   let families =
     List.map
@@ -615,15 +616,14 @@ let prefix_table () =
         in
         let source =
           if Lint.prescreen stg <> None then "lockrel"
-          else if p.Prefix_rules.s_csc = Some true then "prefix"
+          else if p.Prefix_rules.s_csc = Some true then "U3"
           else "none"
         in
         let noncut = p.Prefix_rules.s_events - p.Prefix_rules.s_cutoffs in
         ( agree,
-          Printf.sprintf "%-16s %8d %8d %7d %7d %10.4f %10.4f %6.1fx %-6s %s\n"
+          Printf.sprintf "%-16s %8d %8d %7d %7d %10.4f %10.4f %-6s %s\n"
             name (Reach.n_states g) (Reach.n_edges g) p.Prefix_rules.s_events
             noncut t_prefix t_explicit
-            (if t_prefix > 0.0 then t_explicit /. t_prefix else nan)
             (if agree then "yes" else "NO")
             source ))
       families
@@ -634,7 +634,7 @@ let prefix_table () =
       print_string line)
     rows;
   if !failures = 0 then begin
-    print_endline "E11 ok: every prefix verdict matches the explicit graph";
+    print_endline "E11 ok: every U1-U4 verdict matches the explicit graph";
     0
   end
   else begin

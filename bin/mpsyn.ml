@@ -215,17 +215,6 @@ let hazard_arg =
   let doc = "Enlarge covers to remove static-1 hazards." in
   Arg.(value & flag & info [ "hazard-free" ] ~doc)
 
-let backend_arg =
-  let doc =
-    "Constraint engine for the modular method: $(b,sat) (WalkSAT + DPLL), \
-     $(b,dpll) (systematic search only), or $(b,bdd) (symbolic, falls back \
-     to SAT on blowup)."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("sat", `Sat); ("dpll", `Dpll); ("bdd", `Bdd) ]) `Sat
-    & info [ "backend" ] ~docv:"ENGINE" ~doc)
-
 let celements_arg =
   let doc =
     "Also print the set/reset (generalised C-element) decomposition of \
@@ -268,10 +257,10 @@ let lint_cmd =
       "Additionally run the exact partial-order rules U1-U4 on a \
        complete finite prefix of the STG's unfolding: exact 1-safeness \
        (proof or replayable refutation), exact autoconcurrency (retiring \
-       A5's false alarms), exact USC/CSC conflict detection, and the \
-       exact state-graph size — all without explicit state exploration.  \
-       Findings merge into the same mpsyn-lint/1 report; U1/U2 \
-       refutations exit $(b,3)."
+       A5's false alarms), and, once the prefix is complete, exact \
+       USC/CSC conflict detection and the exact state-graph size from \
+       one explicit exploration.  Findings merge into the same \
+       mpsyn-lint/1 report; U1/U2 refutations exit $(b,3)."
     in
     Arg.(value & flag & info [ "prefix" ] ~doc)
   in
@@ -447,9 +436,9 @@ let lint_cmd =
     (Cmd.info "lint" ~exits
        ~doc:
          "Statically analyze an STG (and optionally its synthesized \
-          netlist) without explicit state exploration; $(b,--prefix) adds \
-          the exact partial-order rules U1-U4, $(b,--partition) the \
-          partition-plan rules M1-M5")
+          netlist); the structural rules never explore the state space.  \
+          $(b,--prefix) adds the exact partial-order rules U1-U4, \
+          $(b,--partition) the partition-plan rules M1-M5")
     Term.(
       const run $ stgs_arg $ json_arg $ strict_arg $ netlist_arg $ hazard_arg
       $ prefix_arg $ partition_arg $ degenerate_arg $ plan_arg $ jobs_arg
@@ -496,8 +485,8 @@ let print_functions fs =
   List.iter (fun f -> Format.printf "  %a@." Derive.pp_func f) fs
 
 let synth_cmd =
-  let run stg_name method_ backtrack_limit time_limit hazard_free backend
-      celements no_lint jobs_opt cache_opt =
+  let run stg_name method_ backtrack_limit time_limit hazard_free celements
+      no_lint jobs_opt cache_opt =
     guard_budget @@ fun () ->
     let jobs = resolve_jobs jobs_opt in
     let cache = resolve_cache cache_opt in
@@ -511,7 +500,6 @@ let synth_cmd =
           backtrack_limit;
           time_limit;
           hazard_free;
-          backend;
           jobs;
           cache;
         }
@@ -583,17 +571,18 @@ let synth_cmd =
     (Cmd.info "synth" ~exits ~doc:"Synthesize a speed-independent circuit from an STG")
     Term.(
       const run $ stg_arg $ method_arg $ backtrack_arg $ time_arg $ hazard_arg
-      $ backend_arg $ celements_arg $ no_lint_arg
-      $ jobs_arg $ cache_arg)
+      $ celements_arg $ no_lint_arg $ jobs_arg $ cache_arg)
 
 let bench_cmd =
   let run stg_name =
     guard_budget @@ fun () ->
     let stg = load_linted stg_name in
+    (* one exploration serves all three methods, so no timer below
+       includes reachability *)
     let sg = Sg.of_stg stg in
     Format.printf "%a@." Csc.pp_summary sg;
     let t0 = Sys.time () in
-    let r = Mpart.synthesize stg in
+    let r = Mpart.synthesize_sg ~csc_certified:(Csc.csc_satisfied sg) sg in
     Format.printf "modular:    %3d signals, %4d states, area %4d, %6.3fs@."
       (Mpart.final_signals r) (Mpart.final_states r) (Mpart.area_literals r)
       (Sys.time () -. t0);
@@ -744,7 +733,7 @@ let verify_cmd =
     Arg.(value & flag & info [ "force-dynamic" ] ~doc)
   in
   let run stg_names fuzz seed max_states force_dynamic backtrack_limit
-      time_limit backend jobs_opt cache_opt =
+      time_limit jobs_opt cache_opt =
     guard_budget @@ fun () ->
     let jobs = resolve_jobs jobs_opt in
     let cache = resolve_cache cache_opt in
@@ -756,7 +745,6 @@ let verify_cmd =
           Mpart.default_config with
           backtrack_limit;
           time_limit;
-          backend;
           jobs;
           cache;
         }
@@ -843,8 +831,7 @@ let verify_cmd =
           against the source STG under adversarial delays")
     Term.(
       const run $ stgs_arg $ fuzz_arg $ seed_arg $ max_states_arg
-      $ force_dynamic_arg $ backtrack_arg $ time_arg $ backend_arg $ jobs_arg
-      $ cache_arg)
+      $ force_dynamic_arg $ backtrack_arg $ time_arg $ jobs_arg $ cache_arg)
 
 let dot_cmd =
   let run stg_name =

@@ -23,224 +23,45 @@ type summary = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* U3: replay the state-graph encoding over the prefix marking graph   *)
+(* U3/U4: the explicit state graph                                     *)
 (* ------------------------------------------------------------------ *)
 
-type edge_kind = Krise | Kfall | Ktoggle | Ksilent
+(* U3/U4 abstain past this many reachable markings. *)
+let max_states = 262144
 
-exception Inconsistent_values
-
-(* Everything [Sg.of_stg] + [Csc] decide about coding, recomputed from
-   the prefix-derived marking graph instead of [Reach.explore].  The
-   replication is semantics-exact: values are pinned by rise/fall seeds
-   and flip-parity propagation over the (connected) graph, and the only
-   state-id-dependent step — anchoring a never-seeded signal at the
-   lowest unassigned state — lands on the initial marking under both
-   numberings, since both intern it as state 0.  Per-marking values,
-   ε-classes, class codes and excitation signatures therefore coincide
-   with the explicit construction. *)
-type coding = {
-  cd_n_classes : int;
-  cd_usc : bool;
-  cd_csc : bool;
-  cd_conflicts : int;
-  cd_coexcited : ((string * bool) * (string * bool)) list;
-}
-
-let exact_coding stg (mg : Unfold.mgraph) =
-  let n = Array.length mg.Unfold.mg_markings in
-  let ns = Stg.n_signals stg in
-  if ns > 62 then None
-  else
-    try
-      let kind_of t =
-        match Stg.label stg t with
-        | Stg.Dummy -> (-1, Ksilent)
-        | Stg.Event e -> (
-          ( e.Signal.signal,
-            match e.Signal.dir with
-            | Signal.Rise -> Krise
-            | Signal.Fall -> Kfall
-            | Signal.Toggle -> Ktoggle ))
-      in
-      let edge_info =
-        Array.map
-          (fun (src, t, dst) -> (src, dst, kind_of t))
-          mg.Unfold.mg_edges
-      in
-      let values = Array.make_matrix ns n (-1) in
-      let adj = Array.make n [] in
-      Array.iter
-        (fun (src, dst, k) ->
-          adj.(src) <- (dst, k) :: adj.(src);
-          adj.(dst) <- (src, k) :: adj.(dst))
-        edge_info;
-      for s = 0 to ns - 1 do
-        let v = values.(s) in
-        let queue = Queue.create () in
-        let assign m x =
-          if v.(m) < 0 then begin
-            v.(m) <- x;
-            Queue.add m queue
-          end
-          else if v.(m) <> x then raise Inconsistent_values
-        in
-        Array.iter
-          (fun (src, dst, (sig_, k)) ->
-            if sig_ = s then
-              match k with
-              | Krise ->
-                assign src 0;
-                assign dst 1
-              | Kfall ->
-                assign src 1;
-                assign dst 0
-              | Ktoggle | Ksilent -> ())
-          edge_info;
-        let propagate () =
-          while not (Queue.is_empty queue) do
-            let m = Queue.take queue in
-            List.iter
-              (fun (m', (sig_, k)) ->
-                let flips = sig_ = s && k <> Ksilent in
-                assign m' (if flips then 1 - v.(m) else v.(m)))
-              adj.(m)
-          done
-        in
-        propagate ();
-        for m = 0 to n - 1 do
-          if v.(m) < 0 then begin
-            assign m 0;
-            propagate ()
-          end
-        done;
-        Array.iter
-          (fun (src, dst, (sig_, k)) ->
-            let fine =
-              match (sig_ = s, k) with
-              | true, Krise -> v.(src) = 0 && v.(dst) = 1
-              | true, Kfall -> v.(src) = 1 && v.(dst) = 0
-              | true, Ktoggle -> v.(src) = 1 - v.(dst)
-              | true, Ksilent -> v.(src) = v.(dst)
-              | false, _ -> v.(src) = v.(dst)
-            in
-            if not fine then raise Inconsistent_values)
-          edge_info
-      done;
-      (* ε-quotient: undirected union over silent edges, like
-         [Sg.quotient] with every signal kept *)
-      let uf = Array.init n Fun.id in
-      let rec find i = if uf.(i) = i then i else (uf.(i) <- find uf.(i); uf.(i)) in
-      let union i j =
-        let ri = find i and rj = find j in
-        if ri <> rj then uf.(max ri rj) <- min ri rj
-      in
-      Array.iter
-        (fun (src, dst, (_, k)) -> if k = Ksilent then union src dst)
-        edge_info;
-      let class_id = Array.make n (-1) in
-      let n_classes = ref 0 in
-      for m = 0 to n - 1 do
-        let r = find m in
-        if class_id.(r) < 0 then begin
-          class_id.(r) <- !n_classes;
-          incr n_classes
-        end
-      done;
-      let cls m = class_id.(find m) in
-      let nc = !n_classes in
-      let codes = Array.make nc 0 in
-      for m = 0 to n - 1 do
-        let c = ref 0 in
-        for s = 0 to ns - 1 do
-          if values.(s).(m) = 1 then c := !c lor (1 lsl s)
-        done;
-        codes.(cls m) <- !c
-      done;
-      (* excitation per class: concrete signal edges of the projected
-         non-silent edges (toggles resolved by the source value) *)
-      let exc = Array.make nc [] in
-      Array.iter
-        (fun (src, _, (sig_, k)) ->
-          let record is_rise =
-            let c = cls src in
-            if not (List.mem (sig_, is_rise) exc.(c)) then
-              exc.(c) <- (sig_, is_rise) :: exc.(c)
-          in
-          match k with
-          | Ksilent -> ()
-          | Krise -> record true
-          | Kfall -> record false
-          | Ktoggle -> record (values.(sig_).(src) = 0))
-        edge_info;
-      let signature c =
-        let buf = Buffer.create 16 in
-        List.iter
-          (fun (s, is_rise) ->
-            if Signal.non_input (Stg.kind stg s) then
-              Buffer.add_string buf
-                (Printf.sprintf "%d%c;" s (if is_rise then '+' else '-')))
-          (List.sort compare exc.(c));
-        Buffer.contents buf
-      in
-      let by_code = Hashtbl.create nc in
-      for c = 0 to nc - 1 do
-        let cur =
-          Option.value (Hashtbl.find_opt by_code codes.(c)) ~default:[]
-        in
-        Hashtbl.replace by_code codes.(c) (c :: cur)
-      done;
-      let usc = ref true and conflicts = ref 0 in
-      Hashtbl.iter
-        (fun _ members ->
-          match members with
-          | [] | [ _ ] -> ()
-          | ms ->
-            usc := false;
-            let sigs = List.map signature ms in
-            let rec pairs = function
-              | [] -> ()
-              | sm :: rest ->
-                List.iter (fun sm' -> if sm <> sm' then incr conflicts) rest;
-                pairs rest
-            in
-            pairs sigs)
-        by_code;
-      let co = Hashtbl.create 64 in
-      Array.iter
-        (fun evs ->
-          let evs =
-            List.sort compare
-              (List.map
-                 (fun (s, is_rise) -> (Stg.signal_name stg s, is_rise))
-                 evs)
-          in
-          let rec pairs = function
-            | [] -> ()
-            | a :: rest ->
-              List.iter (fun b -> Hashtbl.replace co (a, b) ()) rest;
-              pairs rest
-          in
-          pairs evs)
-        exc;
-      let cd_coexcited =
-        List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) co [])
-      in
-      Some
-        {
-          cd_n_classes = nc;
-          cd_usc = !usc;
-          cd_csc = !conflicts = 0;
-          cd_conflicts = !conflicts;
-          cd_coexcited;
-        }
-    with Inconsistent_values -> None
+(* Every signal-edge pair excited together at some state of [sg],
+   canonically ordered.  Edges are numbered [2 * signal + rising] while
+   the states are swept, and named once at the end. *)
+let coexcited stg sg =
+  let ne = 2 * Sg.n_signals sg in
+  let seen = Array.make_matrix ne ne false in
+  let id (s, d) = (2 * s) + if d = Sg.R then 1 else 0 in
+  for m = 0 to Sg.n_states sg - 1 do
+    let rec pairs = function
+      | [] -> ()
+      | a :: rest ->
+        List.iter (fun b -> seen.(a).(b) <- true) rest;
+        pairs rest
+    in
+    pairs (List.map id (Sg.excited_events sg m))
+  done;
+  let edge i = (Stg.signal_name stg (i / 2), i mod 2 = 1) in
+  let acc = ref [] in
+  for i = 0 to ne - 1 do
+    for j = 0 to ne - 1 do
+      if seen.(i).(j) then begin
+        let a = edge i and b = edge j in
+        acc := (if a <= b then (a, b) else (b, a)) :: !acc
+      end
+    done
+  done;
+  List.sort compare !acc
 
 (* ------------------------------------------------------------------ *)
 (* Analysis driver                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let analyze ?(jobs = 1) ?(max_events = 2048) ?(max_cuts = 262144) stg =
+let analyze ?(jobs = 1) ?(max_events = 2048) stg =
   let net = Stg.net stg in
   let u = Unfold.build ~jobs ~max_events net in
   let complete = Unfold.complete u in
@@ -269,9 +90,19 @@ let analyze ?(jobs = 1) ?(max_events = 2048) ?(max_cuts = 262144) stg =
       List.sort_uniq compare !acc
     end
   in
-  let mg = Unfold.marking_graph ~max_cuts u in
-  let swept = mg.Unfold.mg_complete in
-  let coding = if swept then exact_coding stg mg else None in
+  (* U3/U4 read the explicit graph, and only behind a complete prefix:
+     a net whose prefix is truncated may be unbounded *)
+  let g =
+    if not complete then None
+    else
+      try Some (Reach.explore ~max_states net)
+      with Reach.Too_many_states _ -> None
+  in
+  let sg =
+    Option.bind g (fun g ->
+        try Some (Sg.of_reach stg g) with Sg.Inconsistent _ -> None)
+  in
+  let conflicts = Option.map Csc.n_conflicts sg in
   {
     s_events = Unfold.n_events u;
     s_conditions = Unfold.n_conditions u;
@@ -279,14 +110,14 @@ let analyze ?(jobs = 1) ?(max_events = 2048) ?(max_cuts = 262144) stg =
     s_complete = complete;
     s_unsafe;
     s_autoconc;
-    s_markings = (if swept then Some (Array.length mg.Unfold.mg_markings) else None);
-    s_edges = (if swept then Some (Array.length mg.Unfold.mg_edges) else None);
-    s_sg_states = Option.map (fun c -> c.cd_n_classes) coding;
-    s_usc = Option.map (fun c -> c.cd_usc) coding;
-    s_csc = Option.map (fun c -> c.cd_csc) coding;
-    s_conflicts = Option.map (fun c -> c.cd_conflicts) coding;
+    s_markings = Option.map Reach.n_states g;
+    s_edges = Option.map Reach.n_edges g;
+    s_sg_states = Option.map Sg.n_states sg;
+    s_usc = Option.map Csc.usc_satisfied sg;
+    s_csc = Option.map (fun k -> k = 0) conflicts;
+    s_conflicts = conflicts;
     s_signals = List.init (Stg.n_signals stg) (Stg.signal_name stg);
-    s_coexcited = Option.map (fun c -> c.cd_coexcited) coding;
+    s_coexcited = Option.map (coexcited stg) sg;
     s_cert = Unfold.cert_json u;
   }
 
@@ -386,20 +217,19 @@ let diagnostics ~loc stg summary =
     emit
       (Diagnostic.v ~rule:rule_u3 ~severity:Info ~loc ~subject:target
          (Printf.sprintf
-            "CSC certified from the prefix: %s state codes, no conflicts"
+            "CSC certified: %s state codes, no conflicts"
             (match summary.s_usc with
             | Some true -> "unique"
             | _ -> "non-unique but complete")
          )
          "no two reachable states share a code while enabling different \
           non-input signals, so SAT-based state-signal insertion is \
-          unnecessary; Mpart accepts this certificate when the A6 lock \
-          relation abstains")
+          unnecessary")
   | Some false, Some k, _ ->
     emit
       (Diagnostic.v ~rule:rule_u3 ~severity:Info ~loc ~subject:target
          (Printf.sprintf
-            "%d CSC conflict pair(s) detected from the prefix (exact)" k)
+            "%d CSC conflict pair(s) detected (exact)" k)
          "state coding is incomplete and synthesis will insert state \
           signals; informational because shipped specifications \
           legitimately carry conflicts - resolving them is what the \
@@ -413,8 +243,7 @@ let diagnostics ~loc stg summary =
             "state graph bound: %d markings, %d states after \
              eps-contraction (prefix: %d events)"
             m c summary.s_events)
-         "exact state-space size computed from the prefix without \
-          explicit exploration; synthesis uses it to pick the \
-          reachability engine statically")
+         "exact state-space size from one explicit exploration, run \
+          once the complete prefix proves the net bounded")
   | _ -> ());
   List.rev !diags

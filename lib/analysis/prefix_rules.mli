@@ -15,18 +15,17 @@
       step-coenabledness.  Refutations are errors (A5 only warns —
       approximately); pairs proved exclusive silence A5's warnings via
       {!exact_mutex}.
-    - {b U3} ([U3-coding]): USC/CSC conflict detection by replaying the
-      state-graph encoding over the prefix-derived marking graph —
-      byte-compatible with {!Sg.of_stg} + {!Csc} verdicts, without
-      {!Reach.explore}.  A conflict-free verdict is a CSC certificate
-      {!Mpart} accepts as a second prescreen besides A6.
-    - {b U4} ([U4-statebound]): exact state-graph size (markings and
-      ε-classes) reported as a diagnostic and used by
-      [Mpart.synthesize] to pick the reachability engine statically.
+    - {b U3} ([U3-coding]): USC/CSC conflict detection, the {!Csc}
+      verdicts on [Sg.of_reach] of one {!Reach.explore}.  The prefix
+      only vouches that the exploration is finite.
+    - {b U4} ([U4-statebound]): the exact state-graph size (markings
+      and ε-classes) of the same exploration, reported as a diagnostic.
 
-    All verdicts are tri-state: when the prefix or the sweep hit their
-    caps the analysis abstains ([None]s) rather than guessing, and the
-    [U0-prefix] info diagnostic records the abstention. *)
+    All verdicts are tri-state: when the prefix hits its event cap the
+    analysis abstains ([None]s) rather than guessing, and the
+    [U0-prefix] info diagnostic records the abstention.  U3/U4 also
+    abstain when the exploration exceeds 262144 markings, and U3 when
+    the net has no consistent state assignment. *)
 
 type summary = {
   s_events : int;  (** prefix events, cutoffs included *)
@@ -60,11 +59,12 @@ type summary = {
   s_cert : string;  (** the [mpsyn-prefix/1] certificate JSON *)
 }
 
-(** [analyze ?jobs ?max_events ?max_cuts stg] builds the prefix and
-    evaluates every rule.  Deterministic for any [jobs]; the result
+(** [analyze ?jobs ?max_events stg] builds the prefix and evaluates
+    every rule; on a complete prefix it explores the net once for
+    U3/U4.  Deterministic for any [jobs]; the result
     contains no timings or machine state, so it is cache-safe
     ({!Mpart.prefix_summary} memoizes it by STG digest). *)
-val analyze : ?jobs:int -> ?max_events:int -> ?max_cuts:int -> Stg.t -> summary
+val analyze : ?jobs:int -> ?max_events:int -> Stg.t -> summary
 
 (** [diagnostics ~loc stg summary] renders the verdicts as lint
     diagnostics: U1/U2 refutations are errors, U1 proofs and all

@@ -50,7 +50,7 @@ let lock_ring ~signals =
    holds for the product too (each ring's signals encode its own phase),
    but pairs of signals from different rings never alternate, so the
    lock relation fails and A6 abstains: this is exactly the family the
-   exact U3 prefix prescreen certifies while the structural one cannot.
+   exact U3 rule certifies while the structural one cannot.
    States grow as [4^rings]; the prefix stays linear ([4·rings]
    non-cutoff events). *)
 let parallel_rings ~rings =

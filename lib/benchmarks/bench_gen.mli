@@ -35,8 +35,8 @@ val lock_ring : signals:int -> Stg.t
     handshake rings fully concurrently ([1 ≤ rings ≤ 8]).  CSC holds
     (each ring's two wires encode its own phase), but cross-ring signal
     pairs never alternate, so the A6 lock-relation prescreen abstains —
-    only the exact prefix rule U3 certifies this family, with a prefix
-    linear in [rings] against [4^rings] states. *)
+    only the exact rule U3 certifies this family.  Its prefix is linear
+    in [rings] against [4^rings] states. *)
 val parallel_rings : rings:int -> Stg.t
 
 (** [random ~rand] draws a small well-formed STG: a random seq/par/choice

@@ -1,11 +1,10 @@
 (** Process-wide explicit-exploration counter.
 
     {!Reach.explore} bumps this counter once per call, mirroring
-    {!Solver_calls} for the constraint engines.  The prefix-based
-    analyses (lint rules U1–U4 over the {!Unfold} complete finite
-    prefix) claim to answer exactly {e without} building the explicit
-    reachability graph; tests assert the delta around such a run is
-    zero to prove it, rather than trusting the claim.
+    {!Solver_calls} for the constraint engines.  Tests assert the delta
+    around a run to prove how often it explores, rather than trusting
+    the claim: lint rules U1–U4 explore exactly once behind a complete
+    {!Unfold} prefix and never behind a truncated one.
 
     The counter is atomic, so explorations issued from pool domains
     ({!Pool}) are counted exactly under [--jobs N]. *)

@@ -329,42 +329,22 @@ let quotient sg ~keep_signal ~keep_extra =
 
 type edge_kind = Krise | Kfall | Ktoggle | Ksilent
 
-let of_stg ?max_states ?(backend = `Explicit) stg =
-  let net = Stg.net stg in
-  (* Both engines return field-for-field identical graphs (the symbolic
-     builder replays the explicit numbering from its fixpoint and falls
-     back outside the 1-safe encoding), so everything from here on is
-     backend-oblivious and the digests must agree — tests enforce it. *)
+(* one kind per transition, shared by every edge that fires it *)
+let kinds_of stg =
+  Array.init (Petri.n_transitions (Stg.net stg)) (fun t ->
+      match Stg.label stg t with
+      | Stg.Dummy -> (-1, Ksilent)
+      | Stg.Event e ->
+        ( e.Signal.signal,
+          match e.Signal.dir with
+          | Signal.Rise -> Krise
+          | Signal.Fall -> Kfall
+          | Signal.Toggle -> Ktoggle ))
+
+(* The derivation proper, from [n] states (state 0 initial) and the
+   reach edges as (source, target, kind of the fired transition). *)
+let of_edges stg n edge_info =
   let ns = Stg.n_signals stg in
-  (* one kind per transition, shared by every edge that fires it *)
-  let kinds =
-    Array.init (Petri.n_transitions net) (fun t ->
-        match Stg.label stg t with
-        | Stg.Dummy -> (-1, Ksilent)
-        | Stg.Event e ->
-          ( e.Signal.signal,
-            match e.Signal.dir with
-            | Signal.Rise -> Krise
-            | Signal.Fall -> Kfall
-            | Signal.Toggle -> Ktoggle ))
-  in
-  let kind_of t = kinds.(t) in
-  (* kind of each reach edge w.r.t. each signal *)
-  let n, edge_info =
-    match backend with
-    | `Explicit ->
-      let g = Reach.explore ?max_states net in
-      ( Reach.n_states g,
-        Array.map (fun (src, t, dst) -> (src, dst, kind_of t)) g.Reach.edges )
-    | `Symbolic ->
-      (* the derivation below reads nothing but the state count and the
-         edges, so the symbolic engine skips the rest of the [Reach.t]
-         materialization and hands over its flat edge buffer *)
-      let n, buf, n_edges = Symbolic.explore_edges ?max_states net in
-      ( n,
-        Array.init n_edges (fun e ->
-            (buf.(3 * e), buf.(3 * e + 2), kind_of buf.(3 * e + 1))) )
-  in
   (* Solve the consistent state assignment, one signal at a time, by
      propagating equality/flip constraints over the reachability graph. *)
   let values = Array.make_matrix ns n (-1) in
@@ -470,6 +450,28 @@ let of_stg ?max_states ?(backend = `Explicit) stg =
   match quotient raw ~keep_signal:(fun _ -> true) ~keep_extra:(fun _ -> true) with
   | Some (merged, _) -> merged
   | None -> assert false (* no extras: merging cannot fail *)
+
+let of_reach stg (g : Reach.t) =
+  let kinds = kinds_of stg in
+  of_edges stg (Reach.n_states g)
+    (Array.map (fun (src, t, dst) -> (src, dst, kinds.(t))) g.Reach.edges)
+
+let of_stg ?max_states ?(backend = `Explicit) stg =
+  let net = Stg.net stg in
+  match backend with
+  | `Explicit -> of_reach stg (Reach.explore ?max_states net)
+  | `Symbolic ->
+    (* the symbolic builder replays the explicit numbering from its
+       fixpoint, so both engines yield field-for-field identical graphs
+       and digests — tests enforce it.  The derivation reads nothing but
+       the state count and the edges, so the symbolic engine skips the
+       rest of the [Reach.t] materialization and hands over its flat
+       edge buffer. *)
+    let kinds = kinds_of stg in
+    let n, buf, n_edges = Symbolic.explore_edges ?max_states net in
+    of_edges stg n
+      (Array.init n_edges (fun e ->
+           (buf.(3 * e), buf.(3 * e + 2), kinds.(buf.(3 * e + 1)))))
 
 (* ------------------------------------------------------------------ *)
 (* Content digest                                                      *)

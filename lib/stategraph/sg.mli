@@ -61,6 +61,13 @@ val make :
     @raise Reach.Too_many_states if exploration exceeds the cap. *)
 val of_stg : ?max_states:int -> ?backend:[ `Explicit | `Symbolic ] -> Stg.t -> t
 
+(** [of_reach stg g] derives the state graph from [g], an explicit
+    exploration of [Stg.net stg]; [of_stg stg] is
+    [of_reach stg (Reach.explore (Stg.net stg))].  Callers that need the
+    marking graph as well explore the net once and share it.
+    @raise Inconsistent if no consistent assignment exists. *)
+val of_reach : Stg.t -> Reach.t -> t
+
 (** {1 Accessors} *)
 
 val name : t -> string

@@ -476,13 +476,26 @@ let lint_rejects =
   [ ("synth", 3); ("lint", 3); ("verify", 3); ("verilog", 3); ("bench", 3) ]
 
 (* [a+ -> b+ -> a+] with no [a-]: no consistent state assignment.  The
-   lint pass rejects it (3); the inspection commands fail at the state
-   assignment (1). *)
+   lint pass rejects it (3), with or without the prefix rules; the
+   inspection commands fail at the state assignment (1).  The prefix is
+   complete, so U3/U4 explore the net and must abstain on the failed
+   assignment rather than raise [Sg.Inconsistent] (which would exit
+   1). *)
+let inconsistent_spec =
+  ".model inconsistent\n.inputs a\n.outputs b\n.graph\na+ b+\nb+ a+\n\
+   .marking { <b+,a+> }\n.end\n"
+
 let test_inconsistent_exits () =
-  check_exits "inconsistent"
-    ".model inconsistent\n.inputs a\n.outputs b\n.graph\na+ b+\nb+ a+\n\
-     .marking { <b+,a+> }\n.end\n"
-    (lint_rejects @ [ ("info", 1); ("dot", 1) ])
+  let p = Prefix_rules.analyze (Gformat.parse_string inconsistent_spec) in
+  Alcotest.(check bool) "prefix complete" true p.Prefix_rules.s_complete;
+  Alcotest.(check (option int)) "two markings" (Some 2) p.Prefix_rules.s_markings;
+  Alcotest.(check bool)
+    "U3/U4 abstain" true
+    Prefix_rules.(
+      p.s_sg_states = None && p.s_usc = None && p.s_csc = None
+      && p.s_conflicts = None && p.s_coexcited = None);
+  check_exits "inconsistent" inconsistent_spec
+    (lint_rejects @ [ ("lint --prefix", 3); ("info", 1); ("dot", 1) ])
 
 (* A spec that declares no signals — an empty file, or a [.model] line
    alone — describes no circuit.  Rule A1 rejects it, so every command

@@ -2,34 +2,22 @@
 
    The engine's whole value is exactness, so the tests are agreement
    tests against explicit ground truth:
-   - on every shipped benchmark, the prefix-derived marking graph equals
-     [Reach.explore]'s (as a *set* of markings and a set of edges, not
-     just counts), and the U3 coding verdicts equal [Sg.of_stg] + [Csc];
+   - on every shipped benchmark, the U3/U4 verdicts equal [Reach] +
+     [Sg.of_stg] + [Csc];
    - the same property holds on a pinned-seed fuzz sweep of random
      well-formed STGs;
    - the [mpsyn-prefix/1] certificate's cutoff witnesses replay: firing
      the witness and its companion sequence from the initial marking
      reaches the same marking;
-   - the counters prove the claimed elisions: the prefix rules never
-     call [Reach.explore], and the prefix CSC prescreen lets synthesis
-     of the parallel-rings family skip SAT entirely — a family the A6
-     lock-relation prescreen provably abstains on. *)
+   - the counters prove the exploration contract: one [Reach.explore]
+     per analysis of a complete prefix, none behind a truncated one;
+     and synthesis of the parallel-rings family, which U3 certifies
+     while the A6 lock-relation prescreen provably abstains, skips SAT
+     entirely. *)
 
 let check b msg = Alcotest.(check bool) msg true b
 
 (* ---------------- exact agreement with the explicit graph ----------- *)
-
-let sorted_marking_set ms = List.sort compare (List.map Marking.pack ms)
-
-(* Reach edge identity is (marking, transition, marking) — the state
-   numberings of the two explorations differ, so compare edges by
-   packed-endpoint triples. *)
-let sorted_edge_set markings edges =
-  List.sort compare
-    (List.map
-       (fun (s, t, d) ->
-         (Marking.pack markings.(s), t, Marking.pack markings.(d)))
-       (Array.to_list edges))
 
 let check_agreement stg =
   let g = Reach.explore (Stg.net stg) in
@@ -38,18 +26,6 @@ let check_agreement stg =
   check p.Prefix_rules.s_complete "prefix complete";
   check (p.Prefix_rules.s_unsafe = None) "U1: no unsafeness refutation";
   check (p.Prefix_rules.s_autoconc = []) "U2: no autoconcurrency";
-  (* marking sets, not counts *)
-  let u = Unfold.build (Stg.net stg) in
-  let mg = Unfold.marking_graph u in
-  check mg.Unfold.mg_complete "sweep complete";
-  Alcotest.(check (list string))
-    "marking set equals Reach's"
-    (sorted_marking_set (Array.to_list g.Reach.markings))
-    (sorted_marking_set (Array.to_list mg.Unfold.mg_markings));
-  check
-    (sorted_edge_set g.Reach.markings g.Reach.edges
-    = sorted_edge_set mg.Unfold.mg_markings mg.Unfold.mg_edges)
-    "edge set equals Reach's";
   (* U3/U4 verdicts against Sg/Csc ground truth *)
   Alcotest.(check (option int))
     "U4 marking count" (Some (Reach.n_states g)) p.Prefix_rules.s_markings;
@@ -79,18 +55,29 @@ let test_fuzz_agreement () =
     check_agreement (Bench_gen.random ~rand)
   done
 
-(* One qcheck property over the same generator: the prefix marking
-   count equals the explicit exploration's for arbitrary well-formed
-   STGs.  Kept alongside the exhaustive sweep so a failure shrinks and
-   reports the seed through the standard qcheck machinery. *)
+(* One qcheck property over the same generator: every U3/U4 field of
+   the summary — marking and edge counts, quotient size, USC, CSC and
+   the conflict count — equals the explicit construction's at once, for
+   arbitrary well-formed STGs.  Kept alongside the exhaustive sweep so a
+   failure shrinks and reports the seed through the standard qcheck
+   machinery. *)
+let u3_u4 (p : Prefix_rules.summary) =
+  Prefix_rules.
+    (p.s_markings, p.s_edges, p.s_sg_states, p.s_usc, p.s_csc, p.s_conflicts)
+
 let prop_marking_count =
   QCheck.Test.make ~count:n_fuzz ~name:"prefix marking count = Reach count"
     (QCheck.make (fun rand -> Bench_gen.random ~rand))
     (fun stg ->
       let g = Reach.explore (Stg.net stg) in
-      let mg = Unfold.marking_graph (Unfold.build (Stg.net stg)) in
-      mg.Unfold.mg_complete
-      && Array.length mg.Unfold.mg_markings = Reach.n_states g)
+      let sg = Sg.of_stg stg in
+      u3_u4 (Prefix_rules.analyze stg)
+      = ( Some (Reach.n_states g),
+          Some (Reach.n_edges g),
+          Some (Sg.n_states sg),
+          Some (Csc.usc_satisfied sg),
+          Some (Csc.csc_satisfied sg),
+          Some (Csc.n_conflicts sg) ))
 
 (* ---------------- certificate replay ------------------------------- *)
 
@@ -163,20 +150,31 @@ let test_cert_replay name () =
         (Marking.pack mf))
     fires comps
 
-(* ---------------- counters prove the elisions ---------------------- *)
+(* ---------------- counters prove the exploration contract --------- *)
 
-(* The U-rules never explore explicitly: the whole analysis — prefix,
-   sweep, coding replay, diagnostics — leaves the Reach counter where
-   it was. *)
-let test_no_reach_calls () =
+(* U3/U4 read one explicit exploration, and only behind a complete
+   prefix: the whole analysis — prefix, exploration, coding,
+   diagnostics — moves the Reach counter by exactly one.  A truncated
+   prefix explores nothing; U3/U4 abstain and U0 says why. *)
+let test_one_reach_call () =
   let stg = (List.assoc "vbe4a" Bench_data.all) () in
   Reach_calls.reset ();
   let p = Prefix_rules.analyze stg in
   let _ = Prefix_rules.diagnostics ~loc:Diagnostic.no_loc stg p in
+  check p.Prefix_rules.s_complete "prefix complete";
+  Alcotest.(check int) "one Reach.explore call" 1 (Reach_calls.total ());
+  Reach_calls.reset ();
+  let p = Prefix_rules.analyze ~max_events:5 stg in
+  let ds = Prefix_rules.diagnostics ~loc:Diagnostic.no_loc stg p in
+  check (not p.Prefix_rules.s_complete) "prefix truncated";
   Alcotest.(check int) "zero Reach.explore calls" 0 (Reach_calls.total ());
-  (* sanity: the counter does move when exploration happens *)
-  let _ = Reach.explore (Stg.net stg) in
-  Alcotest.(check int) "counter counts" 1 (Reach_calls.total ())
+  check
+    (u3_u4 p = (None, None, None, None, None, None)
+    && p.Prefix_rules.s_coexcited = None)
+    "U3/U4 abstain";
+  check
+    (List.exists (fun d -> d.Diagnostic.rule = "U0-prefix") ds)
+    "U0-prefix records the abstention"
 
 (* Parallel rings: CSC holds but cross-ring pairs never alternate, so
    the A6 lock relation abstains — only the exact U3 verdict certifies
@@ -312,12 +310,9 @@ let test_jobs_deterministic () =
       Alcotest.(check string)
         "certificates byte-identical" (Unfold.cert_json u1)
         (Unfold.cert_json u4);
-      let m1 = Unfold.marking_graph u1 and m4 = Unfold.marking_graph u4 in
       check
-        (Array.map Marking.pack m1.Unfold.mg_markings
-        = Array.map Marking.pack m4.Unfold.mg_markings)
-        "marking arrays identical";
-      check (m1.Unfold.mg_edges = m4.Unfold.mg_edges) "edge arrays identical")
+        (Prefix_rules.analyze ~jobs:1 stg = Prefix_rules.analyze ~jobs:4 stg)
+        "summaries identical")
     [
       (List.assoc "mr0" Bench_data.all) ();
       Bench_gen.parallel_rings ~rings:4;
@@ -382,7 +377,7 @@ let () =
         ] );
       ( "counters",
         [
-          Alcotest.test_case "U-rules never explore" `Quick test_no_reach_calls;
+          Alcotest.test_case "U3/U4 explore once" `Quick test_one_reach_call;
           Alcotest.test_case "parallel-rings3: U3 certifies, SAT skipped"
             `Quick
             (test_parallel_rings_prescreen 3);
